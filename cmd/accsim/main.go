@@ -138,7 +138,7 @@ func main() {
 		w, err := snap.Restore(data)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "accsim: -resume:", err)
-			os.Exit(1)
+			os.Exit(2)
 		}
 		fmt.Fprintf(os.Stderr, "accsim: resumed %s at %v (fidelity %q, %d shards)\n",
 			*resumeFile, w.Now(), sc.Fidelity, sc.Shards)

@@ -175,7 +175,7 @@ type Tuner struct {
 	Net *netsim.Network
 	//acclint:ignore snapcover construction wiring: restore rebuilds the tuner on the same switch; dynamic state lives in rngSrc and queues
 	Switch *netsim.Switch
-	//acclint:ignore snapcover saved by its owner (System.SaveState or the world) because agents may be shared across tuners
+	//acclint:ignore snapcover saved by its owner (System.Sync or the world) because agents may be shared across tuners
 	Agent *rl.Agent
 	Cfg   Config
 

@@ -40,7 +40,7 @@ func TestSenderSnapshotRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		_, fl, _ := midFlight(t, seed)
 		w := codec.NewWriter()
-		fl.SaveState(w)
+		fl.Sync(w)
 		img := w.Finish()
 
 		net2, f2 := star(t, 6, seed)
@@ -57,7 +57,7 @@ func TestSenderSnapshotRoundTrip(t *testing.T) {
 				seed, fl2.ID, fl.ID, fl2.Sent(), fl.Sent(), fl2.CNPs, fl.CNPs)
 		}
 		w2 := codec.NewWriter()
-		fl2.SaveState(w2)
+		fl2.Sync(w2)
 		if img2 := w2.Finish(); !bytes.Equal(img, img2) {
 			t.Fatalf("seed %d: save∘restore∘save changed bytes (%d vs %d)", seed, len(img), len(img2))
 		}
@@ -69,7 +69,7 @@ func TestReceiverSnapshotRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		_, _, rx := midFlight(t, seed)
 		w := codec.NewWriter()
-		rx.SaveState(w)
+		rx.Sync(w)
 		img := w.Finish()
 
 		_, f2 := star(t, 6, seed)
@@ -82,7 +82,7 @@ func TestReceiverSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: RestoreReceiver: %v", seed, r.Err())
 		}
 		w2 := codec.NewWriter()
-		rx2.SaveState(w2)
+		rx2.Sync(w2)
 		if img2 := w2.Finish(); !bytes.Equal(img, img2) {
 			t.Fatalf("seed %d: save∘restore∘save changed bytes", seed)
 		}

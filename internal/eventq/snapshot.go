@@ -18,46 +18,43 @@ import (
 //
 //   - RestoreEvent re-inserts a construction-time handle (the closure is
 //     already bound to the rebuilt world) at the (at, seq) it carries.
-//   - RestoreAt / RestoreCallAt materialize a component timer or in-flight
+//   - SyncTimer / RestoreCall materialize a component timer or in-flight
 //     packet event at an explicitly recorded (at, seq) without consuming
 //     the sequence counter, so the restored schedule is bit-identical to
 //     the original.
 //
 // See DESIGN.md "Snapshot & fork" for the full restore protocol.
 
-// SaveState writes the queue's counters and a free-pool prewarm hint.
-// The schedule contents are saved by their owners (see package comment).
-func (q *Queue) SaveState(w *codec.Writer) {
-	w.Tag("eventq")
-	w.I64(int64(q.now))
-	w.U64(q.seq)
-	w.U64(q.processed)
-	w.Int(len(q.free) + q.pooledLive())
-}
-
-// RestoreState clears the queue and restores the counters saved by
-// SaveState, prewarming the event free list so post-restore scheduling is
-// allocation-free. Owners then re-insert still-pending work via
-// RestoreEvent / RestoreAt / RestoreCallAt.
-func (q *Queue) RestoreState(r *codec.Reader) {
-	r.Expect("eventq")
-	now := simtime.Time(r.I64())
-	seq := r.U64()
-	processed := r.U64()
-	warm := r.Int()
-	if r.Err() != nil {
+// Sync saves or restores the queue's counters and a free-pool prewarm
+// hint. The schedule contents are saved by their owners (see package
+// comment). On restore the queue is cleared first and the free list
+// prewarmed, so post-restore scheduling is allocation-free; owners then
+// re-insert still-pending work via RestoreEvent / SyncTimer /
+// RestoreCall.
+func (q *Queue) Sync(s *codec.Stream) {
+	s.Tag("eventq")
+	if s.Loading() {
+		q.Clear()
+	}
+	codec.Int(s, &q.now)
+	codec.Uint(s, &q.seq)
+	codec.Uint(s, &q.processed)
+	warm := len(q.free) + q.pooledLive()
+	codec.Int(s, &warm)
+	if !s.Loading() || s.Err() != nil {
 		return
 	}
-	q.Clear()
-	q.now = now
-	q.seq = seq
-	q.processed = processed
 	if q.buckets != nil {
-		q.baseDay = dayOf(now)
+		q.baseDay = dayOf(q.now)
 		q.curDay = q.baseDay
 	}
-	q.Prewarm(warm)
+	q.prewarm(min(warm, maxPrewarm))
 }
+
+// maxPrewarm caps the restored free-list hint: it sizes an allocation, so
+// a corrupt stream must not be able to demand an unbounded one. A world
+// that needs more pooled events allocates the rest on demand.
+const maxPrewarm = 1 << 18
 
 // pooledLive counts resident pooled (CallAt-path) events, live or
 // cancelled. Restore re-materializes that many from the free list, so the
@@ -139,22 +136,23 @@ func (q *Queue) RestoreEvent(ev *Event) {
 	q.schedule(ev)
 }
 
-// RestoreAt schedules fn at an explicitly recorded (at, seq) and returns
-// the handle, without consuming the monotonic sequence counter. It is the
-// restore-side counterpart of At/Reset for component timers whose original
-// sequence numbers were recorded in a snapshot.
-func (q *Queue) RestoreAt(t simtime.Time, seq uint64, fn func()) *Event {
-	q.checkTime(t)
+// restoreAt schedules fn at an explicitly recorded (at, seq) and returns
+// the handle, without consuming the monotonic sequence counter: the
+// restore-side counterpart of At/Reset for component timers.
+func (q *Queue) restoreAt(t simtime.Time, seq uint64, fn func()) *Event {
 	e := &Event{at: t, seq: seq, fn: fn, q: q}
 	q.schedule(e)
 	return e
 }
 
-// RestoreCallAt schedules fn(arg) on a recycled event at an explicitly
-// recorded (at, seq) without consuming the sequence counter — the
-// restore-side counterpart of CallAt/CallAfter/CallAtSeq.
-func (q *Queue) RestoreCallAt(t simtime.Time, seq uint64, fn func(any), arg any) {
-	q.checkTime(t)
+// RestoreCall, on a reading stream, schedules fn(arg) on a recycled event
+// at a recorded (at, seq) slot without consuming the sequence counter —
+// the restore-side counterpart of CallAt/CallAfter/CallAtSeq. It does
+// nothing on a writing stream or after a decode error.
+func (q *Queue) RestoreCall(s *codec.Stream, t simtime.Time, seq uint64, fn func(any), arg any) {
+	if !s.Loading() || !q.restorable(s, t) {
+		return
+	}
 	var e *Event
 	if n := len(q.free); n > 0 {
 		e = q.free[n-1]
@@ -172,38 +170,50 @@ func (q *Queue) RestoreCallAt(t simtime.Time, seq uint64, fn func(any), arg any)
 	q.schedule(e)
 }
 
-// Prewarm grows the event free list to at least n events so subsequent
+// restorable reports whether a decoded slot at t may be scheduled: the
+// stream decoded cleanly and t is not before the restored clock. A slot in
+// the past fails the stream instead of panicking in the scheduler.
+func (q *Queue) restorable(s *codec.Stream, t simtime.Time) bool {
+	if s.Err() != nil {
+		return false
+	}
+	if t < q.now {
+		s.Fail("event slot at %v is before the restored clock %v", t, q.now)
+		return false
+	}
+	return true
+}
+
+// prewarm grows the event free list to at least n events so subsequent
 // CallAt-path scheduling allocates nothing.
-func (q *Queue) Prewarm(n int) {
+func (q *Queue) prewarm(n int) {
 	for len(q.free) < n {
 		q.free = append(q.free, &Event{q: q})
 	}
 }
 
-// SaveTimer records one handle timer's scheduling slot: a pending flag
-// and, when pending, its (at, seq).
-func SaveTimer(w *codec.Writer, ev *Event) {
-	if ev.Pending() {
-		w.Bool(true)
-		w.I64(int64(ev.at))
-		w.U64(ev.seq)
-	} else {
-		w.Bool(false)
+// SyncTimer saves or restores one handle timer's scheduling slot: a
+// pending flag and, when pending, its (at, seq). On restore *ev becomes
+// the re-armed handle calling fn, or nil when the timer was not pending.
+func (q *Queue) SyncTimer(s *codec.Stream, ev **Event, fn func()) {
+	pending := (*ev).Pending()
+	s.Bool(&pending)
+	if !pending {
+		if s.Loading() {
+			*ev = nil
+		}
+		return
 	}
-}
-
-// RestoreTimer re-arms a timer slot recorded by SaveTimer, returning the
-// new handle (nil when the timer was not pending).
-func (q *Queue) RestoreTimer(r *codec.Reader, fn func()) *Event {
-	if !r.Bool() || r.Err() != nil {
-		return nil
+	var at simtime.Time
+	var seq uint64
+	if !s.Loading() {
+		at, seq = (*ev).at, (*ev).seq
 	}
-	at := simtime.Time(r.I64())
-	seq := r.U64()
-	if r.Err() != nil {
-		return nil
+	codec.Int(s, &at)
+	codec.Uint(s, &seq)
+	if s.Loading() && q.restorable(s, at) {
+		*ev = q.restoreAt(at, seq, fn)
 	}
-	return q.RestoreAt(at, seq, fn)
 }
 
 // Seq returns the next monotonic sequence number the queue will assign.

@@ -1,8 +1,6 @@
 package hybrid
 
 import (
-	"fmt"
-
 	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/snap/codec"
 )
@@ -14,176 +12,143 @@ import (
 // Flows serialize their path as link registration indices, not by
 // re-resolving Mesh.Path on restore: a fault between a flow's admission and
 // the snapshot changes what Path would return, but never what the flow
-// already crossed. Link flow lists and analytic rate sums are rebuilt from
-// the restored flows (both preserve registration order under removal, so
-// a link's list is exactly the engine list filtered to its members).
-// Callbacks cannot be serialized; RestoreState re-binds them through the
-// caller's rebind function, keyed by flow id.
+// already crossed. Link flow lists are rebuilt from the restored flows
+// (registration order survives removal, so a link's list is exactly the
+// engine list filtered to its members). Link rate sums are restored as
+// saved: the live sums were accumulated and drained in admission order,
+// and re-summing the surviving demands would round differently.
+// Callbacks cannot be serialized; Sync re-binds them through the caller's
+// rebind function, keyed by flow id.
 
-// SaveState writes the engine's dynamic state: mode accounting, per-link
-// trigger state, and every live analytic and in-flight flow in
+// Rebind returns the startPacket / onDone callbacks for a restored flow
+// id: the same bindings the original StartFlow call used, so a restored
+// flow demotes into exactly the transports a continuous run would have
+// started.
+type Rebind func(id uint64) (startPacket func(*Flow, int64), onDone func(*Flow, simtime.Time))
+
+// Sync saves or restores the engine's dynamic state: mode accounting,
+// per-link trigger state, and every live analytic and in-flight flow in
 // registration order. Packet-mode flows are owned by their transports'
-// adapters (see psim.HybridState) and saved there via SaveFlow.
-func (e *Engine) SaveState(w *codec.Writer) {
+// adapters (see psim.HybridState) and synced there via SyncFlow. A restore
+// overlays a freshly rebuilt engine with the same link registration (same
+// fabric tables); rebind is consulted only on restore.
+func (e *Engine) Sync(s *codec.Stream, rebind Rebind) {
 	if e.q != nil {
 		panic("hybrid: snapshots support barrier-driven engines only")
 	}
-	w.Tag("hybrid")
-	w.U64(e.Stats.FlowsStarted)
-	w.U64(e.Stats.AnalyticFlows)
-	w.U64(e.Stats.PacketFlows)
-	w.U64(e.Stats.Demotions)
-	w.U64(e.Stats.Promotions)
-	w.U64(e.Stats.AnalyticPayload)
-	w.U64(e.Stats.Ticks)
-	w.Bool(e.stopped)
-	w.Int(len(e.links))
-	for _, l := range e.links {
-		w.Bool(l.hot)
-		w.Int(l.cold)
-		w.I64(int64(l.reserved))
-		w.Int(l.nPacket)
-		w.U64(l.lastPauseRx)
-		w.Bool(l.wasDown)
-	}
-	w.Int(len(e.flows))
-	for _, f := range e.flows {
-		e.SaveFlow(w, f)
-	}
-	w.Int(len(e.inflight))
-	for _, f := range e.inflight {
-		e.SaveFlow(w, f)
-	}
-}
-
-// RestoreState overlays a snapshot onto a freshly rebuilt engine with the
-// same link registration (same fabric tables). rebind supplies the
-// startPacket / onDone callbacks for a flow id — the same bindings the
-// original StartFlow call used, so a restored flow demotes into exactly
-// the transports a continuous run would have started.
-func (e *Engine) RestoreState(r *codec.Reader, rebind func(id uint64) (startPacket func(*Flow, int64), onDone func(*Flow, simtime.Time))) error {
-	if e.q != nil {
-		panic("hybrid: snapshots support barrier-driven engines only")
-	}
-	r.Expect("hybrid")
-	e.Stats.FlowsStarted = r.U64()
-	e.Stats.AnalyticFlows = r.U64()
-	e.Stats.PacketFlows = r.U64()
-	e.Stats.Demotions = r.U64()
-	e.Stats.Promotions = r.U64()
-	e.Stats.AnalyticPayload = r.U64()
-	e.Stats.Ticks = r.U64()
-	e.stopped = r.Bool()
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(e.links) {
-		return fmt.Errorf("hybrid: snapshot has %d links, engine has %d (topology mismatch)", n, len(e.links))
+	s.Tag("hybrid")
+	codec.Uint(s, &e.Stats.FlowsStarted)
+	codec.Uint(s, &e.Stats.AnalyticFlows)
+	codec.Uint(s, &e.Stats.PacketFlows)
+	codec.Uint(s, &e.Stats.Demotions)
+	codec.Uint(s, &e.Stats.Promotions)
+	codec.Uint(s, &e.Stats.AnalyticPayload)
+	codec.Uint(s, &e.Stats.Ticks)
+	s.Bool(&e.stopped)
+	n := len(e.links)
+	codec.Int(s, &n)
+	if s.Err() == nil && n != len(e.links) {
+		s.Fail("hybrid: snapshot has %d links, engine has %d (topology mismatch)", n, len(e.links))
+		return
 	}
 	for _, l := range e.links {
-		l.hot = r.Bool()
-		l.cold = r.Int()
-		l.reserved = simtime.Rate(r.I64())
-		l.nPacket = r.Int()
-		l.lastPauseRx = r.U64()
-		l.wasDown = r.Bool()
-		l.flows = l.flows[:0]
-		l.sumRate = 0
-	}
-	nf := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	e.flows = e.flows[:0]
-	for i := 0; i < nf; i++ {
-		f, err := e.RestoreFlow(r)
-		if err != nil {
-			return err
-		}
-		f.startPacket, f.onDone = rebind(f.ID)
-		e.flows = append(e.flows, f)
-		for _, l := range f.Path {
-			l.flows = append(l.flows, f)
-			l.sumRate += f.Demand
+		s.Bool(&l.hot)
+		codec.Int(s, &l.cold)
+		codec.Float(s, &l.reserved)
+		codec.Float(s, &l.sumRate)
+		codec.Int(s, &l.nPacket)
+		codec.Uint(s, &l.lastPauseRx)
+		s.Bool(&l.wasDown)
+		if s.Loading() {
+			l.flows = l.flows[:0]
 		}
 	}
-	ni := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	e.inflight = e.inflight[:0]
-	for i := 0; i < ni; i++ {
-		f, err := e.RestoreFlow(r)
-		if err != nil {
-			return err
+	e.flows = e.syncFlows(s, e.flows, rebind)
+	if s.Loading() {
+		for _, f := range e.flows {
+			for _, l := range f.Path {
+				l.flows = append(l.flows, f)
+			}
 		}
-		f.startPacket, f.onDone = rebind(f.ID)
-		e.inflight = append(e.inflight, f)
 	}
-	return r.Err()
+	e.inflight = e.syncFlows(s, e.inflight, rebind)
 }
 
-// SaveFlow writes one flow's full dynamic state, its path encoded as link
-// registration indices.
-func (e *Engine) SaveFlow(w *codec.Writer, f *Flow) {
-	w.Tag("hflow")
-	w.U64(f.ID)
-	w.I64(f.Size)
-	w.Int(f.Prio)
-	w.I64(int64(f.Demand))
-	w.Int(len(f.Path))
-	for _, l := range f.Path {
-		w.Int(l.idx)
+// syncFlows saves or restores one flow list; restored flows are rebound
+// through rebind.
+func (e *Engine) syncFlows(s *codec.Stream, fs []*Flow, rebind Rebind) []*Flow {
+	n := len(fs)
+	s.Len(&n, flowMinBytes)
+	if s.Loading() {
+		fs = fs[:0]
 	}
-	w.I64(int64(f.Start))
-	w.I64(int64(f.End))
-	w.Bool(f.Mode == ModePacket)
-	w.I64(f.nFrames)
-	w.Int(f.fullWire)
-	w.Int(f.lastWire)
-	w.I64(int64(f.gap))
-	w.I64(int64(f.sendEnd))
-	w.I64(f.frames)
-	w.Bool(f.completed)
+	for i := 0; i < n && s.Err() == nil; i++ {
+		if !s.Loading() {
+			e.SyncFlow(s, &fs[i])
+			continue
+		}
+		var f *Flow
+		e.SyncFlow(s, &f)
+		if s.Err() != nil {
+			break
+		}
+		f.startPacket, f.onDone = rebind(f.ID)
+		fs = append(fs, f)
+	}
+	return fs
 }
 
-// RestoreFlow rebuilds one flow saved by SaveFlow, resolving its path
-// against the engine's registered links. Callbacks are left nil; callers
-// re-bind them (Engine.RestoreState does so through rebind; packet-mode
-// flows restored by adapters need none — only PacketDone touches them).
-func (e *Engine) RestoreFlow(r *codec.Reader) (*Flow, error) {
-	r.Expect("hflow")
-	f := e.newFlow()
-	f.ID = r.U64()
-	f.Size = r.I64()
-	f.Prio = r.Int()
-	f.Demand = simtime.Rate(r.I64())
-	np := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
+// flowMinBytes is the smallest encoding of one Flow: its tag, eight
+// bytes of demand, and fourteen one-byte fields.
+const flowMinBytes = 6 + 8 + 14
+
+// SyncFlow saves *f or, on restore, loads a recycled Flow into *f with
+// its path resolved against the engine's registered links. Restored
+// callbacks are left nil; callers re-bind them (Sync does so through
+// rebind; packet-mode flows restored by adapters need none — only
+// PacketDone touches them).
+func (e *Engine) SyncFlow(s *codec.Stream, f **Flow) {
+	if s.Loading() {
+		*f = e.newFlow()
 	}
-	for i := 0; i < np; i++ {
-		li := r.Int()
-		if li < 0 || li >= len(e.links) {
-			r.Fail("hybrid: flow path link index %d out of range", li)
-			return nil, r.Err()
+	(*f).Sync(s, e.links)
+}
+
+// Sync saves or restores one flow's full dynamic state, its path encoded
+// as registration indices into links.
+func (f *Flow) Sync(s *codec.Stream, links []*Link) {
+	s.Tag("hflow")
+	codec.Uint(s, &f.ID)
+	codec.Int(s, &f.Size)
+	codec.Int(s, &f.Prio)
+	codec.Float(s, &f.Demand)
+	np := len(f.Path)
+	s.Len(&np, 1)
+	if s.Loading() {
+		f.Path = f.Path[:0]
+	}
+	for i := 0; i < np && s.Err() == nil; i++ {
+		li := -1
+		if !s.Loading() {
+			li = f.Path[i].idx
 		}
-		f.Path = append(f.Path, e.links[li])
+		codec.Int(s, &li)
+		if s.Loading() && s.Err() == nil {
+			if li < 0 || li >= len(links) {
+				s.Fail("hybrid: flow path link index %d out of range", li)
+				return
+			}
+			f.Path = append(f.Path, links[li])
+		}
 	}
-	f.Start = simtime.Time(r.I64())
-	f.End = simtime.Time(r.I64())
-	if r.Bool() {
-		f.Mode = ModePacket
-	} else {
-		f.Mode = ModeAnalytic
-	}
-	f.nFrames = r.I64()
-	f.fullWire = r.Int()
-	f.lastWire = r.Int()
-	f.gap = simtime.Duration(r.I64())
-	f.sendEnd = simtime.Time(r.I64())
-	f.frames = r.I64()
-	f.completed = r.Bool()
-	return f, r.Err()
+	codec.Int(s, &f.Start)
+	codec.Int(s, &f.End)
+	codec.Uint(s, &f.Mode)
+	codec.Int(s, &f.nFrames)
+	codec.Int(s, &f.fullWire)
+	codec.Int(s, &f.lastWire)
+	codec.Int(s, &f.gap)
+	codec.Int(s, &f.sendEnd)
+	codec.Int(s, &f.frames)
+	s.Bool(&f.completed)
 }

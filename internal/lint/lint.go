@@ -59,7 +59,7 @@ type Checker interface {
 
 // AllCheckers returns the full suite in a fixed order.
 func AllCheckers() []Checker {
-	return []Checker{Determinism{}, Hotpath{}, TracerGuard{}, Snapcover{}, Codecsym{}, Barriermut{}}
+	return []Checker{Determinism{}, Hotpath{}, TracerGuard{}, Snapcover{}, Barriermut{}}
 }
 
 // Run executes the checkers over prog, applies the //acclint:ignore

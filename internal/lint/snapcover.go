@@ -7,37 +7,26 @@ import (
 	"sort"
 )
 
-// Snapcover proves snapshot completeness: for every type that serializes
-// itself — a SaveState/saveState method taking the codec writer, or a
-// configured save helper (Config.SnapSaveFuncs) taking the struct as a
-// parameter — each field of the struct must be accounted for in one of
-// three ways, or the build fails:
+// Snapcover proves snapshot completeness. Every struct type with a sync
+// method — a method named Sync or sync taking the codec stream
+// (Config.CodecStreamType) — must account for each of its fields in one
+// of three ways, or the build fails:
 //
-//  1. written by the save function or a helper it (transitively) calls;
-//  2. rebuilt by the load counterpart: assigned (or constructed via a
-//     composite literal) from an expression that does not consume the
-//     reader — rebound callbacks, derived counters, registration state;
-//  3. read by the load counterpart — construction-owned state the restore
-//     path consults without reassigning (pre-bound method values, the
-//     owning Network/Queue references threaded through restore).
+//  1. referenced by the sync method or a function it (transitively)
+//     calls, or by a restore constructor — a function other than a sync
+//     method that calls the sync method directly, building the object,
+//     rebinding its callbacks, and registering it around the overlay;
+//  2. function-valued (pre-bound callbacks, clock sources, hook lists): a
+//     function value has no serializable identity and can only be rebound
+//     at construction, so it is exempt implicitly;
+//  3. annotated on its declaration line: //acclint:ignore snapcover
+//     <reason>.
 //
 // A field that is none of these is invisible to snapshots: a fork or a
 // warm-started sweep silently diverges from the cold run the first time
-// the field matters. The escape hatch is an explicit annotation on the
-// field's declaration line: //acclint:ignore snapcover <reason>.
-// Function-valued fields (pre-bound callbacks, clock sources, hook lists)
-// are exempt implicitly: a function value has no serializable identity and
-// can only be rebound at construction.
-//
-// Deliberately NOT counted as coverage: a load-side assignment whose
-// right side consumes the reader. That is symmetric-load, not rebuild —
-// if the save-side write is deleted while the load keeps reading, the
-// bytes shift and both checkers must fire, snapcover on the field and
-// codecsym on the sequence.
-//
-// The load counterpart is found through the codecsym pairing (tagged
-// roots, call-aligned helpers); a type whose save has no verified load
-// pair is codecsym's diagnostic to make, not snapcover's.
+// the field matters. Because one sync method runs in both directions,
+// a referenced field is saved and restored by the same statement; there
+// is no second half to drift out of step.
 type Snapcover struct{}
 
 // Name implements Checker.
@@ -46,55 +35,65 @@ func (Snapcover) Name() string { return "snapcover" }
 // Rev is the audit revision for //acclint:ignore snapcover@rev pins.
 func (Snapcover) Rev() int { return 1 }
 
-// coveredType is one (struct type, save function) obligation.
+// coveredType is one (struct type, sync method) obligation.
 type coveredType struct {
 	obj    *types.TypeName
 	st     *types.Struct
-	saveFn *types.Func
+	syncFn *types.Func
 }
 
 // Check implements Checker.
 func (Snapcover) Check(prog *Program, cfg *Config) []Diagnostic {
-	a := analyzeCodec(prog, cfg)
-	if len(a.seqs) == 0 {
+	if cfg.CodecStreamType == "" {
 		return nil
 	}
-	covered := coveredTypes(a, cfg)
+	order := declFuncs(prog)
+	nodes := make(map[*types.Func]*funcNode, len(order))
+	for _, n := range order {
+		nodes[n.fn] = n
+	}
+	covered := syncedTypes(order, cfg.CodecStreamType)
+	isSync := map[*types.Func]bool{}
+	for _, ct := range covered {
+		isSync[ct.syncFn] = true
+	}
+	// callers[sync] are the restore constructors of a sync method: the
+	// functions other than sync methods that call it directly.
+	callers := map[*types.Func][]*funcNode{}
+	for _, n := range order {
+		if isSync[n.fn] {
+			continue
+		}
+		seen := map[*types.Func]bool{}
+		for _, callee := range calleesOf(n) {
+			if isSync[callee] && !seen[callee] {
+				seen[callee] = true
+				callers[callee] = append(callers[callee], n)
+			}
+		}
+	}
+
 	var diags []Diagnostic
 	for _, ct := range covered {
-		loadFn := a.pairs[ct.saveFn]
-		if loadFn == nil {
-			continue // no verified load counterpart: codecsym territory
-		}
-		saveTree := reachableFuncs(a, ct.saveFn)
-		loadTree := reachableFuncs(a, loadFn)
-
-		fieldVars := map[*types.Var]bool{}
+		fields := map[*types.Var]bool{}
 		for i := 0; i < ct.st.NumFields(); i++ {
-			fieldVars[ct.st.Field(i)] = true
+			fields[ct.st.Field(i)] = true
 		}
-		saved := map[*types.Var]bool{}
-		for _, n := range saveTree {
-			markFieldRefs(n, fieldVars, saved)
+		referenced := map[*types.Var]bool{}
+		for _, n := range append(reachableFuncs(nodes, order, ct.syncFn), callers[ct.syncFn]...) {
+			markFieldRefs(n, fields, referenced)
 		}
-		rebuilt := map[*types.Var]bool{}
-		read := map[*types.Var]bool{}
-		for _, n := range loadTree {
-			markRestoreCoverage(n, cfg, ct, fieldVars, rebuilt, read)
-		}
-
 		for i := 0; i < ct.st.NumFields(); i++ {
 			f := ct.st.Field(i)
-			if f.Name() == "_" || saved[f] || rebuilt[f] || read[f] || funcValued(f.Type()) {
+			if f.Name() == "_" || referenced[f] || funcValued(f.Type()) {
 				continue
 			}
 			diags = append(diags, Diagnostic{
 				Pos:   prog.Fset.Position(f.Pos()),
 				Check: "snapcover",
 				Msg: fmt.Sprintf(
-					"field %s.%s.%s is not written by %s, and %s neither rebuilds nor reads it — snapshots silently drop it; save it, rebuild it on restore, or annotate the field with //acclint:ignore snapcover <reason>",
-					ct.obj.Pkg().Name(), ct.obj.Name(), f.Name(),
-					shortFuncName(ct.saveFn), shortFuncName(loadFn)),
+					"field %s.%s.%s is not referenced by %s or by a restore constructor calling it — snapshots silently drop it; sync it, rebuild it on restore, or annotate the field with //acclint:ignore snapcover <reason>",
+					ct.obj.Pkg().Name(), ct.obj.Name(), f.Name(), shortFuncName(ct.syncFn)),
 			})
 		}
 	}
@@ -125,94 +124,74 @@ func funcValued(t types.Type) bool {
 	}
 }
 
-// coveredTypes enumerates the (type, save function) obligations: every
-// SaveState/saveState method whose parameter is the codec writer, plus
-// the configured save helpers, each binding the named-struct parameters
-// they serialize (or the receiver when the struct is the receiver).
-func coveredTypes(a *codecAnalysis, cfg *Config) []coveredType {
-	extra := stringSet(cfg.SnapSaveFuncs)
+// syncedTypes enumerates the (type, sync method) obligations: every
+// method named Sync or sync on a named struct type with a parameter of
+// the codec stream type.
+func syncedTypes(order []*funcNode, streamType string) []coveredType {
 	var out []coveredType
-	seen := map[*types.TypeName]bool{}
-	add := func(obj *types.TypeName, fn *types.Func) {
-		if obj == nil || seen[obj] {
-			return
+	for _, n := range order {
+		sig, _ := n.fn.Type().(*types.Signature)
+		if sig == nil || sig.Recv() == nil || (n.fn.Name() != "Sync" && n.fn.Name() != "sync") {
+			continue
 		}
-		st, ok := obj.Type().Underlying().(*types.Struct)
-		if !ok {
-			return
+		takesStream := false
+		for i := 0; i < sig.Params().Len(); i++ {
+			takesStream = takesStream || namedKey(sig.Params().At(i).Type()) == streamType
 		}
-		seen[obj] = true
-		out = append(out, coveredType{obj: obj, st: st, saveFn: fn})
-	}
-	namedObj := func(t types.Type) *types.TypeName {
+		if !takesStream {
+			continue
+		}
+		t := sig.Recv().Type()
 		if p, ok := t.(*types.Pointer); ok {
 			t = p.Elem()
 		}
-		if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
-			return n.Obj()
-		}
-		return nil
-	}
-	for _, n := range a.order {
-		fn := n.fn
-		sig, _ := fn.Type().(*types.Signature)
-		if sig == nil {
+		named, ok := t.(*types.Named)
+		if !ok {
 			continue
 		}
-		name := fn.Name()
-		isSaveState := (name == "SaveState" || name == "saveState") &&
-			sig.Recv() != nil && sig.Params().Len() == 1 &&
-			namedKey(sig.Params().At(0).Type()) == cfg.CodecWriterType
-		if isSaveState {
-			add(namedObj(sig.Recv().Type()), fn)
-			continue
-		}
-		if !extra[funcMatchKey(fn)] {
-			continue
-		}
-		bound := false
-		for i := 0; i < sig.Params().Len(); i++ {
-			p := sig.Params().At(i)
-			if namedKey(p.Type()) == cfg.CodecWriterType {
-				continue
-			}
-			if obj := namedObj(p.Type()); obj != nil {
-				add(obj, fn)
-				bound = true
-			}
-		}
-		if !bound && sig.Recv() != nil {
-			add(namedObj(sig.Recv().Type()), fn)
+		if st, ok := named.Underlying().(*types.Struct); ok {
+			out = append(out, coveredType{obj: named.Obj(), st: st, syncFn: n.fn})
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].obj.Pos() < out[j].obj.Pos() })
 	return out
 }
 
+// calleesOf returns the static callees of every call in n's body,
+// function literals included.
+func calleesOf(n *funcNode) []*types.Func {
+	var out []*types.Func
+	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
+		if call, ok := node.(*ast.CallExpr); ok {
+			if callee := calleeFunc(n.pkg.Info, call); callee != nil {
+				out = append(out, callee)
+			}
+		}
+		return true
+	})
+	return out
+}
+
 // reachableFuncs walks the static call graph from start and returns the
 // in-program functions reached, in deterministic order.
-func reachableFuncs(a *codecAnalysis, start *types.Func) []*funcNode {
+func reachableFuncs(nodes map[*types.Func]*funcNode, order []*funcNode, start *types.Func) []*funcNode {
 	seen := map[*types.Func]bool{start: true}
 	queue := []*types.Func{start}
 	for len(queue) > 0 {
-		fn := queue[0]
+		n := nodes[queue[0]]
 		queue = queue[1:]
-		n := a.nodes[fn]
 		if n == nil {
 			continue
 		}
-		ast.Inspect(n.decl.Body, func(node ast.Node) bool {
-			if call, ok := node.(*ast.CallExpr); ok {
-				if callee := calleeFunc(n.pkg.Info, call); callee != nil && !seen[callee] {
-					seen[callee] = true
-					queue = append(queue, callee)
-				}
+		for _, callee := range calleesOf(n) {
+			if !seen[callee] {
+				seen[callee] = true
+				queue = append(queue, callee)
 			}
-			return true
-		})
+		}
 	}
 	var out []*funcNode
-	for _, n := range a.order {
+	for _, n := range order {
 		if seen[n.fn] {
 			out = append(out, n)
 		}
@@ -221,121 +200,13 @@ func reachableFuncs(a *codecAnalysis, start *types.Func) []*funcNode {
 }
 
 // markFieldRefs marks every field of the covered struct that the function
-// body mentions at all — on the save side any reference means the value
-// flows into the stream or into a helper that writes it.
+// body mentions at all: as a selector (x.f) or as a composite-literal key
+// (T{f: v}).
 func markFieldRefs(n *funcNode, fields map[*types.Var]bool, mark map[*types.Var]bool) {
-	info := n.pkg.Info
 	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
-		if sel, ok := node.(*ast.SelectorExpr); ok {
-			if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-				if v, ok := s.Obj().(*types.Var); ok && fields[v] {
-					mark[v] = true
-				}
-			}
-		}
-		return true
-	})
-}
-
-// markRestoreCoverage classifies the load-side uses of the covered
-// struct's fields in one function: reader-free assignments and composite
-// literals rebuild a field, plain mentions outside write position read it.
-func markRestoreCoverage(n *funcNode, cfg *Config, ct coveredType, fields map[*types.Var]bool, rebuilt, read map[*types.Var]bool) {
-	info := n.pkg.Info
-	readerKey := cfg.CodecReaderType
-
-	fieldOf := func(e ast.Expr) (*types.Var, *ast.SelectorExpr) {
-		for {
-			switch v := e.(type) {
-			case *ast.ParenExpr:
-				e = v.X
-			case *ast.StarExpr:
-				e = v.X
-			case *ast.IndexExpr:
-				e = v.X
-			case *ast.SelectorExpr:
-				if s, ok := info.Selections[v]; ok && s.Kind() == types.FieldVal {
-					if fv, ok := s.Obj().(*types.Var); ok && fields[fv] {
-						return fv, v
-					}
-				}
-				return nil, nil
-			default:
-				return nil, nil
-			}
-		}
-	}
-	tainted := func(exprs ...ast.Expr) bool {
-		for _, e := range exprs {
-			found := false
-			ast.Inspect(e, func(node ast.Node) bool {
-				if ex, ok := node.(ast.Expr); ok && namedKey(info.TypeOf(ex)) == readerKey {
-					found = true
-					return false
-				}
-				return true
-			})
-			if found {
-				return true
-			}
-		}
-		return false
-	}
-
-	// writeTargets are the selector nodes used as assignment targets, so
-	// the read pass below can exclude them. A plain `f.x = r.I64()` is a
-	// symmetric load, neither a rebuild nor a read; an indexed write like
-	// `f.m[k] = v` marks only the resolved selector, so the map header
-	// mention still registers through the assignment below.
-	writeTargets := map[ast.Expr]bool{}
-	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
-		switch node := node.(type) {
-		case *ast.AssignStmt:
-			readerFree := !tainted(node.Rhs...)
-			for _, lhs := range node.Lhs {
-				fv, sel := fieldOf(lhs)
-				if sel != nil {
-					writeTargets[sel] = true
-				}
-				if fv != nil && readerFree {
-					rebuilt[fv] = true
-				}
-			}
-		case *ast.IncDecStmt:
-			if fv, sel := fieldOf(node.X); fv != nil {
-				writeTargets[sel] = true
-				rebuilt[fv] = true
-			}
-		case *ast.CompositeLit:
-			obj := info.TypeOf(node)
-			if p, ok := obj.(*types.Pointer); ok {
-				obj = p.Elem()
-			}
-			if named, ok := obj.(*types.Named); !ok || named.Obj() != ct.obj {
-				return true
-			}
-			for i, el := range node.Elts {
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					if id, ok := kv.Key.(*ast.Ident); ok && !tainted(kv.Value) {
-						if fv, ok := info.Uses[id].(*types.Var); ok && fields[fv] {
-							rebuilt[fv] = true
-						}
-					}
-				} else if i < ct.st.NumFields() && !tainted(el) {
-					rebuilt[ct.st.Field(i)] = true
-				}
-			}
-		}
-		return true
-	})
-	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
-		sel, ok := node.(*ast.SelectorExpr)
-		if !ok || writeTargets[sel] {
-			return true
-		}
-		if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-			if fv, ok := s.Obj().(*types.Var); ok && fields[fv] {
-				read[fv] = true
+		if id, ok := node.(*ast.Ident); ok {
+			if v, ok := n.pkg.Info.Uses[id].(*types.Var); ok && fields[v] {
+				mark[v] = true
 			}
 		}
 		return true

@@ -1,77 +1,52 @@
-// Package snapcover_bad seeds the failure snapcover exists to catch:
-// fields dropped SYMMETRICALLY from both the save and load sides, so the
-// codec stays aligned (codecsym is silent) but a restored object diverges
-// from the cold run the first time the field matters.
+// Package snapcover_bad seeds the failure snapcover exists to catch: a
+// field left out of its type's Sync method. The stream stays aligned —
+// one method encodes and decodes — but a restored object diverges from
+// the cold run the first time the field matters.
 package snapcover_bad
 
-// Writer and Reader are the fixture's own codec stream types; the test
-// config points CodecWriterType/CodecReaderType at them.
-type Writer struct{}
+// Stream is the fixture's own codec stream type; the test config points
+// CodecStreamType at it.
+type Stream struct{ load bool }
 
-func (w *Writer) Tag(string)  {}
-func (w *Writer) I64(int64)   {}
-func (w *Writer) Int(int)     {}
-func (w *Writer) F64(float64) {}
+func (s *Stream) Loading() bool { return s.load }
+func (s *Stream) Tag(string)    {}
 
-type Reader struct{ err error }
+func Int(s *Stream, v *int)       {}
+func Int64(s *Stream, v *int64)   {}
+func Float(s *Stream, v *float64) {}
 
-func (r *Reader) Expect(string) {}
-func (r *Reader) I64() int64    { return 0 }
-func (r *Reader) Int() int      { return 0 }
-func (r *Reader) F64() float64  { return 0 }
-func (r *Reader) Err() error    { return r.err }
-
-// flow drops acked from both halves of an otherwise symmetric pair: the
-// stream verifies, but every restore silently zeroes the ack counter.
+// flow drops acked from Sync: every restore silently zeroes the ack
+// counter.
 type flow struct {
 	sent  int64
 	acked int64
 	rate  float64
 }
 
-func (f *flow) SaveState(w *Writer) {
-	w.Tag("flow")
-	w.I64(f.sent)
-	w.F64(f.rate)
+func (f *flow) Sync(s *Stream) {
+	s.Tag("flow")
+	Int64(s, &f.sent)
+	Float(s, &f.rate)
 }
 
-func (f *flow) RestoreState(r *Reader) {
-	r.Expect("flow")
-	f.sent = r.I64()
-	f.rate = r.F64()
-}
-
-// params is serialized through a configured save helper
-// (Config.SnapSaveFuncs names saveParams): the completeness obligation
-// binds to the named-struct parameter, and dropped is missing from both
-// sides.
+// params is synced through its own method from its owner's; dropped is
+// missing.
 type params struct {
 	kmin    int
 	kmax    int
 	dropped int
 }
 
-func saveParams(w *Writer, p *params) {
-	w.Int(p.kmin)
-	w.Int(p.kmax)
+func (p *params) Sync(s *Stream) {
+	Int(s, &p.kmin)
+	Int(s, &p.kmax)
 }
 
-func loadParams(r *Reader, p *params) {
-	p.kmin = r.Int()
-	p.kmax = r.Int()
-}
-
-// device is the tagged root that pairs the helper halves.
 type device struct {
 	p params
 }
 
-func (d *device) SaveState(w *Writer) {
-	w.Tag("device")
-	saveParams(w, &d.p)
-}
-
-func (d *device) RestoreState(r *Reader) {
-	r.Expect("device")
-	loadParams(r, &d.p)
+func (d *device) Sync(s *Stream) {
+	s.Tag("device")
+	d.p.Sync(s)
 }

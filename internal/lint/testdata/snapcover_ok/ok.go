@@ -1,32 +1,27 @@
-// Package snapcover_ok exercises every legitimate way a field escapes
-// the save stream: rebuilt reader-free on restore, read (consulted) by
-// the restore path, function-valued (implicitly exempt), or annotated
-// with //acclint:ignore snapcover and a reason.
+// Package snapcover_ok exercises every legitimate way a field is
+// accounted for: synced, rebuilt on restore inside Sync, set by the
+// restore constructor that calls Sync, function-valued (implicitly
+// exempt), or annotated with //acclint:ignore snapcover and a reason.
 package snapcover_ok
 
-// Writer and Reader are the fixture's own codec stream types; the test
-// config points CodecWriterType/CodecReaderType at them.
-type Writer struct{}
+// Stream is the fixture's own codec stream type; the test config points
+// CodecStreamType at it.
+type Stream struct{ load bool }
 
-func (w *Writer) Tag(string) {}
-func (w *Writer) I64(int64)  {}
-func (w *Writer) Int(int)    {}
+func (s *Stream) Loading() bool { return s.load }
+func (s *Stream) Tag(string)    {}
 
-type Reader struct{ err error }
-
-func (r *Reader) Expect(string) {}
-func (r *Reader) I64() int64    { return 0 }
-func (r *Reader) Int() int      { return 0 }
-func (r *Reader) Err() error    { return r.err }
+func Int(s *Stream, v *int)     {}
+func Int64(s *Stream, v *int64) {}
 
 type registry struct {
 	n int
 }
 
-// engine covers each exemption class exactly once: ticks is saved, cache
-// is rebuilt reader-free, reg is read (restore consults it without
-// reassigning), owner carries an explicit annotation, and tick is a
-// function value with no serializable identity.
+// engine covers each exemption class exactly once: ticks is synced, cache
+// is rebuilt on restore, reg is wired by the restore constructor, owner
+// carries an explicit annotation, and tick is a function value with no
+// serializable identity.
 type engine struct {
 	ticks int64
 	cache []int64
@@ -36,45 +31,38 @@ type engine struct {
 	tick  func()
 }
 
-func (e *engine) SaveState(w *Writer) {
-	w.Tag("engine")
-	w.I64(e.ticks)
+func (e *engine) Sync(s *Stream) {
+	s.Tag("engine")
+	Int64(s, &e.ticks)
+	if s.Loading() {
+		e.cache = e.cache[:0]
+	}
 }
 
-func (e *engine) RestoreState(r *Reader) {
-	r.Expect("engine")
-	e.ticks = r.I64()
-	e.cache = e.cache[:0]
-	e.reg.n++
+// restoreEngine is the restore constructor: it wires construction state
+// and then overlays the stream.
+func restoreEngine(reg *registry, s *Stream) *engine {
+	e := &engine{reg: reg}
+	e.Sync(s)
+	return e
 }
 
-// params mirrors the configured-save-helper binding with full coverage.
+// params is synced through its own method with full coverage.
 type params struct {
 	kmin int
 	kmax int
 }
 
-func saveParams(w *Writer, p *params) {
-	w.Int(p.kmin)
-	w.Int(p.kmax)
+func (p *params) Sync(s *Stream) {
+	Int(s, &p.kmin)
+	Int(s, &p.kmax)
 }
 
-func loadParams(r *Reader, p *params) {
-	p.kmin = r.Int()
-	p.kmax = r.Int()
-}
-
-// device is the tagged root that pairs the helper halves.
 type device struct {
 	p params
 }
 
-func (d *device) SaveState(w *Writer) {
-	w.Tag("device")
-	saveParams(w, &d.p)
-}
-
-func (d *device) RestoreState(r *Reader) {
-	r.Expect("device")
-	loadParams(r, &d.p)
+func (d *device) Sync(s *Stream) {
+	s.Tag("device")
+	d.p.Sync(s)
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/snap/codec"
 )
 
@@ -14,7 +13,7 @@ import (
 // A Network snapshot is restored into a *freshly rebuilt* world: the same
 // construction code (topology, plan application) runs again, so every
 // closure, pre-bound method value, and routing table exists and is bound
-// to live objects; RestoreState then clears the rebuilt event queue,
+// to live objects; Sync then clears the rebuilt event queue,
 // restores counters and per-object dynamic state, re-materializes the
 // in-flight packet population at its recorded (time, seq) slots, and
 // fast-forwards every RNG stream to its recorded draw count. Because the
@@ -50,16 +49,17 @@ func (c *CountedSource) Seed(seed int64) {
 	c.n = 0
 }
 
-// Draws returns how many values have been drawn from the stream.
-func (c *CountedSource) Draws() uint64 { return c.n }
-
 // skipTo fast-forwards the stream to the target draw count. The rebuilt
 // world must be behind the snapshot (construction draws are a prefix of
 // the saved run's draws); anything else means the snapshot belongs to a
-// different world.
-func (c *CountedSource) SkipTo(target uint64) error {
+// different world. A skip longer than maxSkip is refused rather than
+// spun through, so a corrupt count cannot stall a restore for minutes.
+func (c *CountedSource) skipTo(target uint64) error {
 	if target < c.n {
 		return fmt.Errorf("rng stream at draw %d is ahead of snapshot draw %d (snapshot from a different world?)", c.n, target)
+	}
+	if target-c.n > maxSkip {
+		return fmt.Errorf("rng stream skip of %d draws exceeds %d (corrupt snapshot?)", target-c.n, uint64(maxSkip))
 	}
 	for c.n < target {
 		c.src.Uint64()
@@ -68,349 +68,270 @@ func (c *CountedSource) SkipTo(target uint64) error {
 	return nil
 }
 
+// maxSkip bounds one stream's fast-forward. Streams draw well under one
+// value per hundred events (a 20 ms, 128-host sweep world draws about
+// 5·10^4 per stream), so 2^28 draws is orders of magnitude past any
+// snapshotted run, and skipping it takes under a second.
+const maxSkip = 1 << 28
+
+// Sync saves the stream's draw count or, on restore, fast-forwards the
+// rebuilt stream to it.
+func (c *CountedSource) Sync(s *codec.Stream) {
+	n := c.n
+	codec.Uint(s, &n)
+	if s.Loading() && s.Err() == nil {
+		if err := c.skipTo(n); err != nil {
+			s.Fail("%v", err)
+		}
+	}
+}
+
 // WaiterRef identifies a parked NIC waiter in a snapshot.
 type WaiterRef struct {
 	Kind uint8
 	Flow FlowID
 }
 
-// savePacket writes every wire-visible field of p.
-func savePacket(w *codec.Writer, p *Packet) {
-	w.Int(int(p.Kind))
-	w.U64(uint64(p.Flow))
-	w.Int(p.Src)
-	w.Int(p.Dst)
-	w.Int(p.Prio)
-	w.Int(p.Size)
-	w.I64(p.Seq)
-	w.I64(p.FlowBytes)
-	w.Bool(p.Last)
-	w.Bool(p.Retx)
-	w.Bool(p.ECT)
-	w.Bool(p.CE)
-	w.Bool(p.ECE)
-	w.Int(p.PausePrio)
-	w.Int(p.inPort)
+// FinishedWaiter is the restored stand-in for a parked sender that had
+// already finished when the snapshot was taken (a TCP sender acknowledged
+// while parked). It keeps the sender's place in the FIFO — newcomers
+// still line up behind it — and does nothing when its turn comes, which
+// is exactly what the finished sender would have done.
+func FinishedWaiter(kind uint8, flow FlowID) Waiter { return finishedWaiter{kind, flow} }
+
+type finishedWaiter WaiterRef
+
+func (finishedWaiter) NICReady() {}
+
+func (w finishedWaiter) WaiterID() (uint8, FlowID) { return w.Kind, w.Flow }
+
+// Sync saves or restores every wire-visible field of p.
+func (p *Packet) Sync(s *codec.Stream) {
+	codec.Uint(s, &p.Kind)
+	codec.Uint(s, &p.Flow)
+	codec.Int(s, &p.Src)
+	codec.Int(s, &p.Dst)
+	codec.Int(s, &p.Prio)
+	codec.Int(s, &p.Size)
+	codec.Int(s, &p.Seq)
+	codec.Int(s, &p.FlowBytes)
+	s.Bool(&p.Last)
+	s.Bool(&p.Retx)
+	s.Bool(&p.ECT)
+	s.Bool(&p.CE)
+	s.Bool(&p.ECE)
+	codec.Int(s, &p.PausePrio)
+	codec.Int(s, &p.inPort)
 }
 
-// loadPacket reads a packet saved by savePacket into a pooled object.
-func (n *Network) loadPacket(r *codec.Reader) *Packet {
-	p := n.AllocPacket()
-	p.Kind = Kind(r.Int())
-	p.Flow = FlowID(r.U64())
-	p.Src = r.Int()
-	p.Dst = r.Int()
-	p.Prio = r.Int()
-	p.Size = r.Int()
-	p.Seq = r.I64()
-	p.FlowBytes = r.I64()
-	p.Last = r.Bool()
-	p.Retx = r.Bool()
-	p.ECT = r.Bool()
-	p.CE = r.Bool()
-	p.ECE = r.Bool()
-	p.PausePrio = r.Int()
-	p.inPort = r.Int()
-	return p
+// packetMinBytes is the smallest encoding of one Packet: ten one-byte
+// varints and five bools.
+const packetMinBytes = 15
+
+// syncPacket saves *pp or, on restore, loads it into a pooled packet.
+func (n *Network) syncPacket(s *codec.Stream, pp **Packet) {
+	if s.Loading() {
+		*pp = n.AllocPacket()
+	}
+	(*pp).Sync(s)
 }
 
-// SaveState writes the network's full dynamic state: event-queue counters,
-// RNG draw counts, per-node buffers and counters, and every live packet
-// (queued, serializing, or propagating).
-func (n *Network) SaveState(w *codec.Writer) {
-	w.Tag("netsim")
-	n.Q.SaveState(w)
+// Sync saves or restores the network's full dynamic state: event-queue
+// counters, RNG draw counts, per-node buffers and counters, and every live
+// packet (queued, serializing, or propagating). A restore targets a
+// freshly rebuilt network whose topology matches the saved one exactly;
+// nodes are visited in the same id order. Transport endpoints and parked
+// NIC waiters are restored separately (by their owners, then
+// ResolveWaiters).
+func (n *Network) Sync(s *codec.Stream) {
+	s.Tag("netsim")
+	n.Q.Sync(s)
 	if n.rootSrc == nil {
-		panic("netsim: SaveState on a Network not built with New")
+		panic("netsim: Sync on a Network not built with New")
 	}
-	w.U64(n.rootSrc.n)
-	w.U64(uint64(n.nextFlow))
+	n.rootSrc.Sync(s)
+	codec.Uint(s, &n.nextFlow)
 	for id, node := range n.nodes {
 		switch v := node.(type) {
 		case *Host:
-			w.Tag("host")
-			w.Int(id)
-			v.saveState(w)
+			s.Tag("host")
+			syncNodeID(s, "host", id)
+			v.sync(s)
 		case *Switch:
-			w.Tag("switch")
-			w.Int(id)
-			v.saveState(w)
+			s.Tag("switch")
+			syncNodeID(s, "switch", id)
+			v.sync(s)
+		}
+		if s.Err() != nil {
+			return
 		}
 	}
-	w.Tag("endnodes")
-	w.Int(len(n.pktFree))
-	w.U64(n.pktAlloced)
+	s.Tag("endnodes")
+	warm := len(n.pktFree)
+	codec.Int(s, &warm)
+	codec.Uint(s, &n.pktAlloced)
+	if s.Loading() && s.Err() == nil {
+		for len(n.pktFree) < min(warm, maxPacketPrewarm) {
+			n.pktFree = append(n.pktFree, &Packet{pooled: true})
+		}
+	}
 }
 
-// RestoreState restores state saved by SaveState into this freshly rebuilt
-// network. The rebuilt topology must match the saved one exactly; nodes are
-// visited in the same id order. Transport endpoints and parked NIC waiters
-// are restored separately (by their owners, then ResolveWaiters).
-func (n *Network) RestoreState(r *codec.Reader) error {
-	r.Expect("netsim")
-	n.Q.RestoreState(r)
-	if err := r.Err(); err != nil {
-		return err
+// maxPacketPrewarm caps the restored packet-pool hint, which sizes an
+// allocation: a corrupt stream must not demand an unbounded one. A world
+// that needs more packets allocates the rest on demand.
+const maxPacketPrewarm = 1 << 18
+
+// syncNodeID records a node's id and, on restore, checks it against the
+// rebuilt world's.
+func syncNodeID(s *codec.Stream, kind string, id int) {
+	got := id
+	codec.Int(s, &got)
+	if s.Err() == nil && got != id {
+		s.Fail("netsim: snapshot %s id %d, world has %d (layout mismatch)", kind, got, id)
 	}
-	if err := n.rootSrc.SkipTo(r.U64()); err != nil {
-		return fmt.Errorf("netsim: root rng: %w", err)
-	}
-	n.nextFlow = FlowID(r.U64())
-	for id, node := range n.nodes {
-		switch v := node.(type) {
-		case *Host:
-			r.Expect("host")
-			if got := r.Int(); got != id && r.Err() == nil {
-				return fmt.Errorf("netsim: snapshot host id %d, world has %d (layout mismatch)", got, id)
-			}
-			v.restoreState(r)
-		case *Switch:
-			r.Expect("switch")
-			if got := r.Int(); got != id && r.Err() == nil {
-				return fmt.Errorf("netsim: snapshot switch id %d, world has %d (layout mismatch)", got, id)
-			}
-			v.restoreState(r)
-		}
-		if err := r.Err(); err != nil {
-			return err
-		}
-	}
-	r.Expect("endnodes")
-	poolWarm := r.Int()
-	alloced := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for len(n.pktFree) < poolWarm {
-		n.pktFree = append(n.pktFree, &Packet{pooled: true})
-	}
-	n.pktAlloced = alloced
-	return nil
 }
 
-func (n *Network) saveNodeRng(w *codec.Writer, id int) {
+func (n *Network) syncNodeRng(s *codec.Stream, id int) {
 	src := n.nodeSrc[id]
 	if src == nil {
 		panic("netsim: node has no counted rng stream")
 	}
-	w.U64(src.n)
+	src.Sync(s)
 }
 
-func (n *Network) restoreNodeRng(r *codec.Reader, id int) {
-	src := n.nodeSrc[id]
-	if src == nil {
-		r.Fail("node %d has no counted rng stream", id)
-		return
-	}
-	if err := src.SkipTo(r.U64()); err != nil {
-		r.Fail("node %d rng: %v", id, err)
-	}
+func (h *Host) sync(s *codec.Stream) {
+	h.net.syncNodeRng(s, h.id)
+	h.Port.sync(s)
 }
 
-func (h *Host) saveState(w *codec.Writer) {
-	h.net.saveNodeRng(w, h.id)
-	h.Port.saveState(w)
-}
-
-func (h *Host) restoreState(r *codec.Reader) {
-	h.net.restoreNodeRng(r, h.id)
-	h.Port.restoreState(r)
-}
-
-func (s *Switch) saveState(w *codec.Writer) {
-	s.net.saveNodeRng(w, s.id)
-	w.Int(s.totalUsed)
-	for pi := range s.Ports {
+func (sw *Switch) sync(s *codec.Stream) {
+	sw.net.syncNodeRng(s, sw.id)
+	codec.Int(s, &sw.totalUsed)
+	for pi := range sw.Ports {
 		for prio := 0; prio < NumPrio; prio++ {
-			w.Int(s.ingUsed[pi][prio])
-			w.Bool(s.pauseSent[pi][prio])
+			codec.Int(s, &sw.ingUsed[pi][prio])
+			s.Bool(&sw.pauseSent[pi][prio])
 		}
 	}
-	w.U64(s.DropsTotal)
-	w.U64(s.MarksTotal)
-	w.U64(s.WREDDrops)
-	w.U64(s.OverflowDrops)
-	w.U64(s.RouteBlackholes)
-	for _, p := range s.Ports {
-		p.saveState(w)
+	codec.Uint(s, &sw.DropsTotal)
+	codec.Uint(s, &sw.MarksTotal)
+	codec.Uint(s, &sw.WREDDrops)
+	codec.Uint(s, &sw.OverflowDrops)
+	codec.Uint(s, &sw.RouteBlackholes)
+	for _, p := range sw.Ports {
+		p.sync(s)
 	}
 }
 
-func (s *Switch) restoreState(r *codec.Reader) {
-	s.net.restoreNodeRng(r, s.id)
-	s.totalUsed = r.Int()
-	for pi := range s.Ports {
-		for prio := 0; prio < NumPrio; prio++ {
-			s.ingUsed[pi][prio] = r.Int()
-			s.pauseSent[pi][prio] = r.Bool()
-		}
-	}
-	s.DropsTotal = r.U64()
-	s.MarksTotal = r.U64()
-	s.WREDDrops = r.U64()
-	s.OverflowDrops = r.U64()
-	s.RouteBlackholes = r.U64()
-	for _, p := range s.Ports {
-		p.restoreState(r)
-	}
-}
-
-func (p *Port) saveState(w *codec.Writer) {
-	w.Tag("port")
-	w.I64(int64(p.Bandwidth))
-	w.Bool(p.busy)
-	w.Bool(p.down)
+func (p *Port) sync(s *codec.Stream) {
+	s.Tag("port")
+	codec.Float(s, &p.Bandwidth)
+	s.Bool(&p.busy)
+	s.Bool(&p.down)
 	for i := 0; i < NumPrio; i++ {
-		w.Bool(p.paused[i])
-		w.I64(int64(p.pausedSince[i]))
+		s.Bool(&p.paused[i])
+		codec.Int(s, &p.pausedSince[i])
 	}
-	w.Int(p.rr)
-	w.U64(uint64(p.txSeq))
-	w.Int(int(p.fidelity))
-	w.U64(p.TxBytesTotal)
-	w.U64(p.AnalyticTxBytes)
-	w.U64(p.RxBytesTotal)
-	w.U64(p.PauseRxEvents)
-	w.U64(p.PauseTxEvents)
-	w.I64(int64(p.PausedDuration))
-	w.U64(p.BlackholedPackets)
-	w.U64(p.BlackholedBytes)
-	w.Bool(p.txPkt != nil)
-	if p.txPkt != nil {
-		savePacket(w, p.txPkt)
-		w.I64(int64(p.txAt))
-		w.U64(p.txEvSeq)
+	codec.Int(s, &p.rr)
+	codec.Uint(s, &p.txSeq)
+	codec.Uint(s, &p.fidelity)
+	codec.Uint(s, &p.TxBytesTotal)
+	codec.Uint(s, &p.AnalyticTxBytes)
+	codec.Uint(s, &p.RxBytesTotal)
+	codec.Uint(s, &p.PauseRxEvents)
+	codec.Uint(s, &p.PauseTxEvents)
+	codec.Int(s, &p.PausedDuration)
+	codec.Uint(s, &p.BlackholedPackets)
+	codec.Uint(s, &p.BlackholedBytes)
+	busy := p.txPkt != nil
+	s.Bool(&busy)
+	if busy {
+		p.net.syncPacket(s, &p.txPkt)
+		codec.Int(s, &p.txAt)
+		codec.Uint(s, &p.txEvSeq)
+		p.net.Q.RestoreCall(s, p.txAt, p.txEvSeq, p.txDoneFn, p.txPkt)
 	}
-	w.Int(len(p.flight) - p.fhead)
-	for _, rec := range p.flight[p.fhead:] {
-		savePacket(w, rec.pkt)
-		w.I64(int64(rec.at))
-		w.U64(rec.key)
+	n := len(p.flight) - p.fhead
+	s.Len(&n, packetMinBytes+2)
+	arrive := p.arriveFn
+	if p.remote != nil {
+		arrive = p.remoteArriveFn
 	}
-	for _, q := range p.Queues {
-		q.saveState(w)
-	}
-}
-
-func (p *Port) restoreState(r *codec.Reader) {
-	r.Expect("port")
-	p.Bandwidth = simtime.Rate(r.I64())
-	p.busy = r.Bool()
-	p.down = r.Bool()
-	for i := 0; i < NumPrio; i++ {
-		p.paused[i] = r.Bool()
-		p.pausedSince[i] = simtime.Time(r.I64())
-	}
-	p.rr = r.Int()
-	p.txSeq = uint32(r.U64())
-	p.fidelity = Fidelity(r.Int())
-	p.TxBytesTotal = r.U64()
-	p.AnalyticTxBytes = r.U64()
-	p.RxBytesTotal = r.U64()
-	p.PauseRxEvents = r.U64()
-	p.PauseTxEvents = r.U64()
-	p.PausedDuration = simtime.Duration(r.I64())
-	p.BlackholedPackets = r.U64()
-	p.BlackholedBytes = r.U64()
-	if r.Bool() && r.Err() == nil {
-		pkt := p.net.loadPacket(r)
-		at := simtime.Time(r.I64())
-		seq := r.U64()
-		if r.Err() == nil {
-			p.txPkt = pkt
-			p.txAt = at
-			p.txEvSeq = seq
-			p.net.Q.RestoreCallAt(at, seq, p.txDoneFn, pkt)
+	for i := 0; i < n && s.Err() == nil; i++ {
+		var rec flightRec
+		if !s.Loading() {
+			rec = p.flight[p.fhead+i]
 		}
-	}
-	nFlight := r.Int()
-	for i := 0; i < nFlight && r.Err() == nil; i++ {
-		pkt := p.net.loadPacket(r)
-		at := simtime.Time(r.I64())
-		key := r.U64()
-		if r.Err() != nil {
-			break
-		}
-		p.flightPush(flightRec{pkt: pkt, at: at, key: key})
-		if p.remote != nil {
-			p.net.Q.RestoreCallAt(at, key, p.remoteArriveFn, pkt)
-		} else {
-			p.net.Q.RestoreCallAt(at, key, p.arriveFn, pkt)
+		p.net.syncPacket(s, &rec.pkt)
+		codec.Int(s, &rec.at)
+		codec.Uint(s, &rec.key)
+		if s.Loading() {
+			p.flightPush(rec)
+			p.net.Q.RestoreCall(s, rec.at, rec.key, arrive, rec.pkt)
 		}
 	}
 	for _, q := range p.Queues {
-		q.restoreState(r, p.net)
+		q.sync(s, p.net)
 	}
 }
 
-func (q *EgressQueue) saveState(w *codec.Writer) {
-	w.Tag("eq")
-	w.Int(q.RED.Kmin)
-	w.Int(q.RED.Kmax)
-	w.F64(q.RED.Pmax)
-	w.Bool(q.ECNEnabled)
-	w.Int(q.Len())
-	for _, pkt := range q.pkts[q.head:] {
-		savePacket(w, pkt)
+func (q *EgressQueue) sync(s *codec.Stream, net *Network) {
+	s.Tag("eq")
+	codec.Int(s, &q.RED.Kmin)
+	codec.Int(s, &q.RED.Kmax)
+	codec.Float(s, &q.RED.Pmax)
+	s.Bool(&q.ECNEnabled)
+	n := q.Len()
+	s.Len(&n, packetMinBytes)
+	if s.Loading() {
+		q.pkts = q.pkts[:0]
+		q.head = 0
+		q.bytes = 0
 	}
-	w.F64(q.byteTime)
-	w.I64(int64(q.lastChange))
-	w.Int(q.deficit)
-	w.Bool(q.inTurn)
-	w.U64(q.TxBytes)
-	w.U64(q.AnalyticTxBytes)
-	w.U64(q.TxPackets)
-	w.U64(q.TxMarkedBytes)
-	w.U64(q.TxMarkedPkts)
-	w.U64(q.EnqBytes)
-	w.U64(q.DropPackets)
-	w.U64(q.DropBytes)
-	w.Int(len(q.waiters) - q.whead)
-	for _, wt := range q.waiters[q.whead:] {
-		kind, flow := wt.WaiterID()
-		w.U64(uint64(kind))
-		w.U64(uint64(flow))
-	}
-}
-
-func (q *EgressQueue) restoreState(r *codec.Reader, net *Network) {
-	r.Expect("eq")
-	q.RED.Kmin = r.Int()
-	q.RED.Kmax = r.Int()
-	q.RED.Pmax = r.F64()
-	q.ECNEnabled = r.Bool()
-	nPkts := r.Int()
-	q.pkts = q.pkts[:0]
-	q.head = 0
-	q.bytes = 0
-	for i := 0; i < nPkts && r.Err() == nil; i++ {
-		pkt := net.loadPacket(r)
+	for i := 0; i < n && s.Err() == nil; i++ {
+		if !s.Loading() {
+			q.pkts[q.head+i].Sync(s)
+			continue
+		}
+		var pkt *Packet
+		net.syncPacket(s, &pkt)
 		q.pkts = append(q.pkts, pkt)
 		q.bytes += pkt.Size
 	}
-	q.byteTime = r.F64()
-	q.lastChange = simtime.Time(r.I64())
-	q.deficit = r.Int()
-	q.inTurn = r.Bool()
-	q.TxBytes = r.U64()
-	q.AnalyticTxBytes = r.U64()
-	q.TxPackets = r.U64()
-	q.TxMarkedBytes = r.U64()
-	q.TxMarkedPkts = r.U64()
-	q.EnqBytes = r.U64()
-	q.DropPackets = r.U64()
-	q.DropBytes = r.U64()
-	nWait := r.Int()
-	// Drop waiters parked by construction-time transports (hybrid rebuilds
-	// start due flows at apply time); the snapshot's refs replace them.
-	for i := range q.waiters {
-		q.waiters[i] = nil
+	codec.Float(s, &q.byteTime)
+	codec.Int(s, &q.lastChange)
+	codec.Int(s, &q.deficit)
+	s.Bool(&q.inTurn)
+	codec.Uint(s, &q.TxBytes)
+	codec.Uint(s, &q.AnalyticTxBytes)
+	codec.Uint(s, &q.TxPackets)
+	codec.Uint(s, &q.TxMarkedBytes)
+	codec.Uint(s, &q.TxMarkedPkts)
+	codec.Uint(s, &q.EnqBytes)
+	codec.Uint(s, &q.DropPackets)
+	codec.Uint(s, &q.DropBytes)
+	nw := len(q.waiters) - q.whead
+	s.Len(&nw, 2)
+	if s.Loading() {
+		// Drop waiters parked by construction-time transports (hybrid
+		// rebuilds start due flows at apply time); the snapshot's refs
+		// replace them.
+		clear(q.waiters)
+		q.waiters = q.waiters[:0]
+		q.whead = 0
+		q.restoreWaiters = q.restoreWaiters[:0]
 	}
-	q.waiters = q.waiters[:0]
-	q.whead = 0
-	q.restoreWaiters = q.restoreWaiters[:0]
-	for i := 0; i < nWait && r.Err() == nil; i++ {
-		q.restoreWaiters = append(q.restoreWaiters, WaiterRef{Kind: uint8(r.U64()), Flow: FlowID(r.U64())})
+	for i := 0; i < nw && s.Err() == nil; i++ {
+		var ref WaiterRef
+		if !s.Loading() {
+			ref.Kind, ref.Flow = q.waiters[q.whead+i].WaiterID()
+		}
+		codec.Uint(s, &ref.Kind)
+		codec.Uint(s, &ref.Flow)
+		if s.Loading() {
+			q.restoreWaiters = append(q.restoreWaiters, ref)
+		}
 	}
 }
 

@@ -31,7 +31,7 @@ type HybridState struct {
 	Eng *hybrid.Engine
 
 	e *Engine
-	//acclint:ignore snapcover derived topology view: RestoreApplied rebuilds the mesh from the fabric before reconstructing HybridState, mirroring ApplyHybrid's construction order
+	//acclint:ignore snapcover derived topology view: the rebuild constructs the mesh from the fabric before HybridState.Sync overlays it, mirroring ApplyHybrid's construction order
 	mesh *hybrid.Mesh
 	p    *Plan
 	res  *Applied

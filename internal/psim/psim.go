@@ -113,11 +113,11 @@ type Engine struct {
 	// Global views, indexed exactly like the sequential topo.Fabric build:
 	// Hosts[l][i], Leaves[l], Spines[s]. Pointers reach into the owning
 	// shard's Network; mutate only through scheduled events on that shard.
-	//acclint:ignore snapcover topology wiring into the shard Networks; node state is saved by each shard Net.SaveState
+	//acclint:ignore snapcover topology wiring into the shard Networks; node state is saved by each shard Net.Sync
 	Leaves []*netsim.Switch
-	//acclint:ignore snapcover topology wiring into the shard Networks; node state is saved by each shard Net.SaveState
+	//acclint:ignore snapcover topology wiring into the shard Networks; node state is saved by each shard Net.Sync
 	Spines []*netsim.Switch
-	//acclint:ignore snapcover topology wiring into the shard Networks; node state is saved by each shard Net.SaveState
+	//acclint:ignore snapcover topology wiring into the shard Networks; node state is saved by each shard Net.Sync
 	Hosts [][]*netsim.Host
 
 	// Link port tables for fault targeting. HostUp[l][i] is the host NIC,

@@ -8,161 +8,104 @@ import (
 // deployment), snapshots must resume training bit-identically, so they
 // carry the full optimizer state (Adam first/second moments and step
 // count), the exploration schedule, and the replay memory contents.
+//
+// Restore overlays an agent rebuilt from the same AgentConfig: network
+// shapes and the replay capacity are construction config, recorded in the
+// stream only so a restore can check them against the rebuilt agent.
 
-// SaveState writes the network's weights and complete Adam state.
-func (m *MLP) SaveState(w *codec.Writer) {
-	w.Tag("mlp")
-	w.Int(len(m.Sizes))
-	for _, s := range m.Sizes {
-		w.Int(s)
+// Sync saves or restores the network's weights and complete Adam state.
+// A restore overlays a network of the same shape and rebuilds its scratch
+// buffers.
+func (m *MLP) Sync(s *codec.Stream) {
+	s.Tag("mlp")
+	syncDim(s, len(m.Sizes))
+	for _, n := range m.Sizes {
+		syncDim(s, n)
 	}
-	save3(w, m.W)
-	save2(w, m.B)
-	save3(w, m.mW)
-	save3(w, m.vW)
-	save2(w, m.mB)
-	save2(w, m.vB)
-	w.Int(m.adamT)
+	sync3(s, m.W)
+	sync2(s, m.B)
+	sync3(s, m.mW)
+	sync3(s, m.vW)
+	sync2(s, m.mB)
+	sync2(s, m.vB)
+	codec.Int(s, &m.adamT)
+	if s.Loading() {
+		m.initScratch()
+	}
 }
 
-// RestoreMLP rebuilds a network saved with SaveState, including optimizer
-// state, with fresh scratch buffers.
-func RestoreMLP(r *codec.Reader) *MLP {
-	r.Expect("mlp")
-	n := r.Int()
-	if r.Err() != nil || n < 2 || n > 64 {
-		r.Fail("mlp layer count %d out of range", n)
-		return nil
+// syncDim syncs one dimension of a fixed-shape overlay: on restore the
+// recorded value must equal the rebuilt one.
+func syncDim(s *codec.Stream, have int) {
+	got := have
+	codec.Int(s, &got)
+	if s.Err() == nil && got != have {
+		s.Fail("rl: snapshot dimension %d, rebuilt agent has %d", got, have)
 	}
-	m := &MLP{Sizes: make([]int, n)}
-	for i := range m.Sizes {
-		m.Sizes[i] = r.Int()
-	}
-	m.W = load3(r)
-	m.B = load2(r)
-	m.mW = load3(r)
-	m.vW = load3(r)
-	m.mB = load2(r)
-	m.vB = load2(r)
-	m.adamT = r.Int()
-	if r.Err() != nil {
-		return nil
-	}
-	m.initScratch()
-	return m
 }
 
-func save3(w *codec.Writer, x [][][]float64) {
-	w.Int(len(x))
+func sync3(s *codec.Stream, x [][][]float64) {
+	syncDim(s, len(x))
 	for _, l := range x {
-		save2(w, l)
+		sync2(s, l)
 	}
 }
 
-func save2(w *codec.Writer, x [][]float64) {
-	w.Int(len(x))
-	for _, row := range x {
-		w.F64s(row)
+func sync2(s *codec.Stream, x [][]float64) {
+	syncDim(s, len(x))
+	for i := range x {
+		n := len(x[i])
+		codec.Floats(s, &x[i])
+		if s.Err() == nil && len(x[i]) != n {
+			s.Fail("rl: snapshot row of %d weights, rebuilt agent has %d", len(x[i]), n)
+		}
 	}
 }
 
-func load3(r *codec.Reader) [][][]float64 {
-	n := r.Int()
-	if r.Err() != nil || n < 0 || n > 1<<20 {
-		r.Fail("tensor dim %d out of range", n)
-		return nil
-	}
-	out := make([][][]float64, n)
-	for i := range out {
-		out[i] = load2(r)
-	}
-	return out
+// Sync saves or restores one transition.
+func (t *Transition) Sync(s *codec.Stream) {
+	codec.Floats(s, &t.State)
+	codec.Int(s, &t.Action)
+	codec.Float(s, &t.Reward)
+	codec.Floats(s, &t.Next)
+	s.Bool(&t.Terminal)
 }
 
-func load2(r *codec.Reader) [][]float64 {
-	n := r.Int()
-	if r.Err() != nil || n < 0 || n > 1<<20 {
-		r.Fail("tensor dim %d out of range", n)
-		return nil
+// Sync saves or restores the replay memory's full contents and ring
+// position.
+func (rp *Replay) Sync(s *codec.Stream) {
+	s.Tag("replay")
+	syncDim(s, rp.cap)
+	codec.Int(s, &rp.next)
+	s.Bool(&rp.full)
+	n := len(rp.buf)
+	s.Len(&n, 1+1+8+1+1)
+	if s.Loading() {
+		if n > rp.cap {
+			s.Fail("rl: replay length %d exceeds capacity %d", n, rp.cap)
+			n = 0
+		}
+		rp.buf = make([]Transition, n, rp.cap)
 	}
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = r.F64s()
-	}
-	return out
-}
-
-func saveTransition(w *codec.Writer, t Transition) {
-	w.F64s(t.State)
-	w.Int(t.Action)
-	w.F64(t.Reward)
-	w.F64s(t.Next)
-	w.Bool(t.Terminal)
-}
-
-func loadTransition(r *codec.Reader) Transition {
-	var t Transition
-	t.State = r.F64s()
-	t.Action = r.Int()
-	t.Reward = r.F64()
-	t.Next = r.F64s()
-	t.Terminal = r.Bool()
-	return t
-}
-
-// SaveState writes the replay memory's full contents and ring position.
-func (rp *Replay) SaveState(w *codec.Writer) {
-	w.Tag("replay")
-	w.Int(rp.cap)
-	w.Int(rp.next)
-	w.Bool(rp.full)
-	w.Int(len(rp.buf))
-	for _, t := range rp.buf {
-		saveTransition(w, t)
+	for i := range rp.buf {
+		rp.buf[i].Sync(s)
 	}
 }
 
-// RestoreState replaces rp's contents with a state saved by SaveState.
-func (rp *Replay) RestoreState(r *codec.Reader) {
-	r.Expect("replay")
-	rp.cap = r.Int()
-	rp.next = r.Int()
-	rp.full = r.Bool()
-	n := r.Int()
-	if r.Err() != nil || n < 0 || n > rp.cap {
-		r.Fail("replay length %d exceeds capacity %d", n, rp.cap)
-		return
-	}
-	rp.buf = make([]Transition, 0, rp.cap)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		rp.buf = append(rp.buf, loadTransition(r))
-	}
+// Sync saves or restores the agent's networks, optimizer state,
+// exploration schedule, and replay memory. Cfg is construction-time
+// configuration and is not serialized — the restoring side rebuilds the
+// agent from the same scenario and then overlays this state.
+func (a *Agent) Sync(s *codec.Stream) {
+	s.Tag("agent")
+	a.Eval.Sync(s)
+	a.Target.Sync(s)
+	a.Memory.Sync(s)
+	codec.Float(s, &a.eps)
+	codec.Int(s, &a.trainSteps)
 }
 
-// SaveState writes the agent's networks, optimizer state, exploration
-// schedule, and replay memory. Cfg is construction-time configuration and
-// is not serialized — the restoring side rebuilds the agent from the same
-// scenario and then overlays this state.
-func (a *Agent) SaveState(w *codec.Writer) {
-	w.Tag("agent")
-	a.Eval.SaveState(w)
-	a.Target.SaveState(w)
-	a.Memory.SaveState(w)
-	w.F64(a.eps)
-	w.Int(a.trainSteps)
-}
-
-// RestoreState overlays a state saved by SaveState onto a freshly
-// constructed agent (same Cfg).
-func (a *Agent) RestoreState(r *codec.Reader) {
-	r.Expect("agent")
-	if ev := RestoreMLP(r); ev != nil {
-		a.Eval = ev
-	}
-	if tg := RestoreMLP(r); tg != nil {
-		a.Target = tg
-	}
-	a.Memory.RestoreState(r)
-	a.eps = r.F64()
-	a.trainSteps = r.Int()
-}
+// SaveState and RestoreState are Sync under the names perfbench's agent
+// clone calls; new code calls Sync.
+func (a *Agent) SaveState(s *codec.Stream)    { a.Sync(s) }
+func (a *Agent) RestoreState(s *codec.Stream) { a.Sync(s) }

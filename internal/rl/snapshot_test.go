@@ -45,20 +45,23 @@ func TestMLPSnapshotRoundTrip(t *testing.T) {
 		}
 
 		w := codec.NewWriter()
-		m.SaveState(w)
+		m.Sync(w)
 		img := w.Finish()
 
 		r, err := codec.NewReader(img)
 		if err != nil {
 			t.Fatalf("seed %d: NewReader: %v", seed, err)
 		}
-		m2 := rl.RestoreMLP(r)
-		if m2 == nil || r.Err() != nil {
-			t.Fatalf("seed %d: RestoreMLP: %v", seed, r.Err())
+		// Overlay onto a same-shape network with different weights: every
+		// restored value must come from the stream.
+		m2 := rl.NewMLP([]int{4, 16, 8, 3}, rand.New(rand.NewSource(seed+1000)))
+		m2.Sync(r)
+		if r.Err() != nil {
+			t.Fatalf("seed %d: Sync: %v", seed, r.Err())
 		}
 
 		w2 := codec.NewWriter()
-		m2.SaveState(w2)
+		m2.Sync(w2)
 		if img2 := w2.Finish(); !bytes.Equal(img, img2) {
 			t.Fatalf("seed %d: save∘restore∘save changed bytes", seed)
 		}
@@ -75,7 +78,7 @@ func TestReplaySnapshotRoundTrip(t *testing.T) {
 			rp.Add(randTransition(rng, 3, 4))
 		}
 		w := codec.NewWriter()
-		rp.SaveState(w)
+		rp.Sync(w)
 		img := w.Finish()
 
 		r, err := codec.NewReader(img)
@@ -83,15 +86,15 @@ func TestReplaySnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("adds=%d: NewReader: %v", adds, err)
 		}
 		rp2 := rl.NewReplay(16)
-		rp2.RestoreState(r)
+		rp2.Sync(r)
 		if r.Err() != nil {
-			t.Fatalf("adds=%d: RestoreState: %v", adds, r.Err())
+			t.Fatalf("adds=%d: Sync: %v", adds, r.Err())
 		}
 		if rp2.Len() != rp.Len() {
 			t.Fatalf("adds=%d: restored length %d, want %d", adds, rp2.Len(), rp.Len())
 		}
 		w2 := codec.NewWriter()
-		rp2.SaveState(w2)
+		rp2.Sync(w2)
 		if img2 := w2.Finish(); !bytes.Equal(img, img2) {
 			t.Fatalf("adds=%d: save∘restore∘save changed bytes", adds)
 		}
@@ -114,7 +117,7 @@ func TestAgentSnapshotRoundTrip(t *testing.T) {
 		}
 
 		w := codec.NewWriter()
-		a.SaveState(w)
+		a.Sync(w)
 		img := w.Finish()
 
 		// Overlay onto a fresh agent built with a different init RNG: every
@@ -124,16 +127,16 @@ func TestAgentSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NewReader: %v", seed, err)
 		}
-		a2.RestoreState(r)
+		a2.Sync(r)
 		if r.Err() != nil {
-			t.Fatalf("seed %d: RestoreState: %v", seed, r.Err())
+			t.Fatalf("seed %d: Sync: %v", seed, r.Err())
 		}
 		if a2.Epsilon() != a.Epsilon() || a2.TrainSteps() != a.TrainSteps() {
 			t.Fatalf("seed %d: eps/steps (%v, %d) != (%v, %d)",
 				seed, a2.Epsilon(), a2.TrainSteps(), a.Epsilon(), a.TrainSteps())
 		}
 		w2 := codec.NewWriter()
-		a2.SaveState(w2)
+		a2.Sync(w2)
 		if img2 := w2.Finish(); !bytes.Equal(img, img2) {
 			t.Fatalf("seed %d: save∘restore∘save changed bytes", seed)
 		}

@@ -1,15 +1,25 @@
 // Package codec is the versioned binary encoding underneath snapshot
 // files (internal/snap): unsigned LEB128 varints, zigzag signed varints,
-// IEEE-754 float64 bits, length-prefixed byte strings, and named section
-// tags, wrapped in a magic/version header and an IEEE CRC-32 trailer.
+// IEEE-754 float64 bits, length-prefixed strings, and named section tags,
+// wrapped in a magic/version header and an IEEE CRC-32 trailer.
+//
+// A Stream runs in one direction, chosen when it is opened: NewWriter
+// encodes, NewReader decodes. Every snapshotted type has one Sync method
+// that passes each field to the Stream by pointer; on a writing stream
+// the field's value is appended, on a reading stream the field is
+// overwritten with the decoded value. One function therefore serves both
+// directions, and the encode and decode halves cannot drift apart. The
+// field encoder is picked by the field's Go type through generic
+// constraints (Int, Uint, Float), so a float-valued type such as
+// simtime.Rate cannot be passed to an integer encoder.
 //
 // The codec is deliberately dependency-free so every engine package
 // (eventq, netsim, dcqcn, tcp, rl, acc, stats, hybrid, psim) can expose
-// SaveState/RestoreState methods over it without import cycles.
+// Sync methods over it without import cycles.
 //
 // Error handling is sticky on the read side: the first malformed field
-// latches Reader.Err and every later accessor returns a zero value, so
-// restore code can decode a whole section and check the error once.
+// latches Err and every later accessor leaves its field unchanged, so a
+// Sync method can decode a whole section and check the error once.
 package codec
 
 import (
@@ -17,111 +27,36 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // Magic identifies a snapshot byte stream.
 const Magic = "ACCSNAP\x01"
 
-// Version is the current snapshot format version. Readers refuse streams
-// with a newer major version; the version is available to restore code so
-// future minor revisions can keep decoding old streams.
-const Version uint16 = 1
+// Version is the snapshot format version. Readers accept exactly this
+// version. Version 2 encodes every float-valued field (simtime.Rate
+// included) as IEEE-754 bits and every length through Stream.Len.
+const Version uint16 = 2
 
-// Writer accumulates a snapshot byte stream.
-type Writer struct {
-	buf []byte
+// Stream is a snapshot byte stream being written or read.
+type Stream struct {
+	buf  []byte
+	pos  int
+	err  error
+	load bool
 }
 
-// NewWriter starts a stream with the magic and format version.
-func NewWriter() *Writer {
-	w := &Writer{buf: make([]byte, 0, 4096)}
-	w.buf = append(w.buf, Magic...)
-	w.U64(uint64(Version))
-	return w
-}
-
-// Finish appends the CRC-32 trailer and returns the complete stream.
-// The Writer must not be used afterwards.
-func (w *Writer) Finish() []byte {
-	sum := crc32.ChecksumIEEE(w.buf)
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], sum)
-	w.buf = append(w.buf, tail[:]...)
-	return w.buf
-}
-
-// Len returns the number of bytes written so far (header included).
-func (w *Writer) Len() int { return len(w.buf) }
-
-// U64 writes an unsigned varint.
-func (w *Writer) U64(v uint64) {
-	for v >= 0x80 {
-		w.buf = append(w.buf, byte(v)|0x80)
-		v >>= 7
-	}
-	w.buf = append(w.buf, byte(v))
-}
-
-// I64 writes a zigzag-encoded signed varint.
-func (w *Writer) I64(v int64) { w.U64(uint64(v<<1) ^ uint64(v>>63)) }
-
-// Int writes an int as a signed varint.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// Bool writes a boolean as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.buf = append(w.buf, 1)
-	} else {
-		w.buf = append(w.buf, 0)
-	}
-}
-
-// F64 writes a float64 as its IEEE-754 bit pattern (exact round trip).
-func (w *Writer) F64(v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	w.buf = append(w.buf, b[:]...)
-}
-
-// Bytes writes a length-prefixed byte string.
-func (w *Writer) Bytes(b []byte) {
-	w.U64(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-// String writes a length-prefixed string.
-func (w *Writer) String(s string) {
-	w.U64(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// Tag writes a named section marker. Readers consume it with Expect,
-// which turns any encode/decode skew into an immediate, located error
-// instead of silently misaligned fields.
-func (w *Writer) Tag(name string) { w.String(name) }
-
-// F64s writes a length-prefixed []float64.
-func (w *Writer) F64s(xs []float64) {
-	w.U64(uint64(len(xs)))
-	for _, x := range xs {
-		w.F64(x)
-	}
-}
-
-// Reader decodes a snapshot byte stream produced by Writer.
-type Reader struct {
-	buf []byte
-	pos int
-	err error
-
-	// Version is the format version of the stream being decoded.
-	Version uint16
+// NewWriter starts a writing stream with the magic and format version.
+func NewWriter() *Stream {
+	s := &Stream{buf: make([]byte, 0, 4096)}
+	s.buf = append(s.buf, Magic...)
+	s.putUvarint(uint64(Version))
+	return s
 }
 
 // NewReader validates the magic, version, and CRC-32 trailer of data and
-// returns a reader positioned after the header.
-func NewReader(data []byte) (*Reader, error) {
+// returns a reading stream positioned after the header.
+func NewReader(data []byte) (*Stream, error) {
 	if len(data) < len(Magic)+4 {
 		return nil, fmt.Errorf("snapshot: truncated stream (%d bytes)", len(data))
 	}
@@ -133,142 +68,256 @@ func NewReader(data []byte) (*Reader, error) {
 	if got := crc32.ChecksumIEEE(body); got != want {
 		return nil, fmt.Errorf("snapshot: checksum mismatch (file corrupt): got %08x want %08x", got, want)
 	}
-	r := &Reader{buf: body, pos: len(Magic)}
-	v := r.U64()
-	if r.err != nil {
-		return nil, r.err
+	s := &Stream{buf: body, pos: len(Magic), load: true}
+	v := s.uvarint()
+	if s.err != nil {
+		return nil, s.err
 	}
-	if uint16(v) > Version {
-		return nil, fmt.Errorf("snapshot: format version %d is newer than supported %d", v, Version)
+	if v != uint64(Version) {
+		return nil, fmt.Errorf("snapshot: format version %d, this build reads only version %d", v, Version)
 	}
-	r.Version = uint16(v)
-	return r, nil
+	return s, nil
+}
+
+// Loading reports whether the stream decodes (true) or encodes (false).
+// Sync methods use it to guard restore-only steps: re-arming timers,
+// registering endpoints, rebinding callbacks.
+func (s *Stream) Loading() bool { return s.load }
+
+// Finish appends the CRC-32 trailer to a writing stream and returns the
+// complete bytes. The stream must not be used afterwards.
+func (s *Stream) Finish() []byte {
+	sum := crc32.ChecksumIEEE(s.buf)
+	var tail [4]byte
+	binary.LittleEndian.PutUint32(tail[:], sum)
+	s.buf = append(s.buf, tail[:]...)
+	return s.buf
 }
 
 // Err returns the first decode error, or nil.
-func (r *Reader) Err() error { return r.err }
+func (s *Stream) Err() error { return s.err }
 
 // Fail latches a caller-detected restore error (state inconsistency rather
 // than malformed bytes) so it surfaces through the same sticky-error path.
-func (r *Reader) Fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("snapshot: "+format, args...)
+func (s *Stream) Fail(format string, args ...any) {
+	if s.err == nil {
+		s.err = fmt.Errorf("snapshot: "+format, args...)
 	}
 }
 
-func (r *Reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("snapshot: "+format+" at offset %d", append(args, r.pos)...)
+func (s *Stream) fail(format string, args ...any) {
+	if s.err == nil {
+		s.err = fmt.Errorf("snapshot: "+format+" at offset %d", append(args, s.pos)...)
 	}
 }
 
-// U64 reads an unsigned varint.
-func (r *Reader) U64() uint64 {
-	if r.err != nil {
+func (s *Stream) putUvarint(v uint64) {
+	for v >= 0x80 {
+		s.buf = append(s.buf, byte(v)|0x80)
+		v >>= 7
+	}
+	s.buf = append(s.buf, byte(v))
+}
+
+func (s *Stream) uvarint() uint64 {
+	if s.err != nil {
 		return 0
 	}
 	var v uint64
 	var shift uint
 	for {
-		if r.pos >= len(r.buf) {
-			r.fail("truncated varint")
+		if s.pos >= len(s.buf) {
+			s.fail("truncated varint")
 			return 0
 		}
-		b := r.buf[r.pos]
-		r.pos++
+		b := s.buf[s.pos]
+		s.pos++
 		v |= uint64(b&0x7f) << shift
 		if b < 0x80 {
 			return v
 		}
 		shift += 7
 		if shift >= 64 {
-			r.fail("varint overflow")
+			s.fail("varint overflow")
 			return 0
 		}
 	}
 }
 
-// I64 reads a zigzag-encoded signed varint.
-func (r *Reader) I64() int64 {
-	u := r.U64()
-	return int64(u>>1) ^ -int64(u&1)
+// Signed, Unsigned and Floating are the field types each encoder accepts.
+type (
+	Signed interface {
+		~int | ~int8 | ~int16 | ~int32 | ~int64
+	}
+	Unsigned interface {
+		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64
+	}
+	Floating interface{ ~float64 }
+)
+
+// Int syncs a signed integer field as a zigzag varint.
+func Int[T Signed](s *Stream, v *T) {
+	if !s.load {
+		x := int64(*v)
+		s.putUvarint(uint64(x<<1) ^ uint64(x>>63))
+		return
+	}
+	u := s.uvarint()
+	if s.err == nil {
+		*v = T(int64(u>>1) ^ -int64(u&1))
+	}
 }
 
-// Int reads an int written with Writer.Int.
-func (r *Reader) Int() int { return int(r.I64()) }
+// Uint syncs an unsigned integer field as a varint.
+func Uint[T Unsigned](s *Stream, v *T) {
+	if !s.load {
+		s.putUvarint(uint64(*v))
+		return
+	}
+	u := s.uvarint()
+	if s.err == nil {
+		*v = T(u)
+	}
+}
 
-// Bool reads a boolean.
-func (r *Reader) Bool() bool {
-	if r.err != nil {
-		return false
+// Float syncs a float field as its IEEE-754 bit pattern (exact round
+// trip, fractional values included).
+func Float[T Floating](s *Stream, v *T) {
+	if !s.load {
+		s.buf = binary.LittleEndian.AppendUint64(s.buf, math.Float64bits(float64(*v)))
+		return
 	}
-	if r.pos >= len(r.buf) {
-		r.fail("truncated bool")
-		return false
+	if s.err != nil {
+		return
 	}
-	b := r.buf[r.pos]
-	r.pos++
+	if s.pos+8 > len(s.buf) {
+		s.fail("truncated float64")
+		return
+	}
+	*v = T(math.Float64frombits(binary.LittleEndian.Uint64(s.buf[s.pos:])))
+	s.pos += 8
+}
+
+// Bool syncs a boolean as one byte.
+func (s *Stream) Bool(v *bool) {
+	if !s.load {
+		if *v {
+			s.buf = append(s.buf, 1)
+		} else {
+			s.buf = append(s.buf, 0)
+		}
+		return
+	}
+	if s.err != nil {
+		return
+	}
+	if s.pos >= len(s.buf) {
+		s.fail("truncated bool")
+		return
+	}
+	b := s.buf[s.pos]
+	s.pos++
 	if b > 1 {
-		r.fail("invalid bool byte %d", b)
-		return false
+		s.fail("invalid bool byte %d", b)
+		return
 	}
-	return b == 1
+	*v = b == 1
 }
 
-// F64 reads a float64.
-func (r *Reader) F64() float64 {
-	if r.err != nil {
-		return 0
+// String syncs a length-prefixed string.
+func (s *Stream) String(v *string) {
+	n := len(*v)
+	s.Len(&n, 1)
+	if !s.load {
+		s.buf = append(s.buf, *v...)
+		return
 	}
-	if r.pos+8 > len(r.buf) {
-		r.fail("truncated float64")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.pos:]))
-	r.pos += 8
-	return v
-}
-
-// Bytes reads a length-prefixed byte string. The returned slice aliases
-// the input buffer; callers that keep it must copy.
-func (r *Reader) Bytes() []byte {
-	n := r.U64()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.buf)-r.pos) {
-		r.fail("byte string length %d exceeds remaining %d", n, len(r.buf)-r.pos)
-		return nil
-	}
-	b := r.buf[r.pos : r.pos+int(n)]
-	r.pos += int(n)
-	return b
-}
-
-// String reads a length-prefixed string.
-func (r *Reader) String() string { return string(r.Bytes()) }
-
-// Expect consumes a section tag and errors unless it matches name.
-func (r *Reader) Expect(name string) {
-	got := r.String()
-	if r.err == nil && got != name {
-		r.fail("section tag mismatch: got %q want %q", got, name)
+	if s.err == nil {
+		*v = string(s.buf[s.pos : s.pos+n])
+		s.pos += n
 	}
 }
 
-// F64s reads a length-prefixed []float64.
-func (r *Reader) F64s() []float64 {
-	n := r.U64()
-	if r.err != nil {
-		return nil
+// Tag syncs a named section marker: written as a string, and on read
+// compared against name, which turns any layout skew into an immediate,
+// located error instead of silently misaligned fields.
+func (s *Stream) Tag(name string) {
+	got := name
+	s.String(&got)
+	if s.err == nil && got != name {
+		s.fail("section tag mismatch: got %q want %q", got, name)
 	}
-	if n > uint64(len(r.buf)-r.pos)/8 {
-		r.fail("float64 slice length %d exceeds remaining bytes", n)
-		return nil
+}
+
+// Len syncs an element count as a varint. minSize is the fewest bytes
+// one element occupies in the stream (at least 1). On read, a count
+// larger than the remaining input divided by minSize fails the stream and
+// leaves *n at 0, so a corrupt count can never size an allocation beyond
+// what the input could fill.
+func (s *Stream) Len(n *int, minSize int) {
+	if !s.load {
+		s.putUvarint(uint64(*n))
+		return
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.F64()
+	u := s.uvarint()
+	if s.err == nil && u > uint64(len(s.buf)-s.pos)/uint64(max(minSize, 1)) {
+		s.fail("length %d exceeds the %d remaining bytes", u, len(s.buf)-s.pos)
 	}
-	return out
+	*n = 0
+	if s.err == nil {
+		*n = int(u)
+	}
+}
+
+// Floats syncs a length-prefixed []float64. On read the slice is replaced
+// by a fresh one of the decoded length.
+func Floats(s *Stream, xs *[]float64) { Slice(s, xs, 8, Float) }
+
+// IntMap syncs a map with signed-integer keys, one (key, value) entry at
+// a time in ascending key order, so equal maps encode to equal bytes. val
+// syncs one value. On read the map is replaced by a fresh one.
+func IntMap[K Signed, V any](s *Stream, m *map[K]V, val func(*Stream, *V)) {
+	n := len(*m)
+	s.Len(&n, 2)
+	if s.load {
+		if s.err != nil {
+			return
+		}
+		*m = make(map[K]V, n)
+		for i := 0; i < n && s.err == nil; i++ {
+			var k K
+			var v V
+			Int(s, &k)
+			val(s, &v)
+			(*m)[k] = v
+		}
+		return
+	}
+	keys := make([]K, 0, n)
+	for k := range *m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		v := (*m)[k]
+		Int(s, &k)
+		val(s, &v)
+	}
+}
+
+// Slice syncs a length-prefixed slice, one element at a time through
+// elem. minSize is the fewest bytes one element occupies (see Len). On
+// read the slice is replaced by a fresh one of the decoded length.
+func Slice[E any](s *Stream, xs *[]E, minSize int, elem func(*Stream, *E)) {
+	n := len(*xs)
+	s.Len(&n, minSize)
+	if s.load {
+		if s.err != nil {
+			return
+		}
+		*xs = make([]E, n)
+	}
+	for i := range *xs {
+		elem(s, &(*xs)[i])
+	}
 }

@@ -19,66 +19,80 @@ import (
 	"os"
 
 	"github.com/accnet/acc/internal/red"
-	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/snap/codec"
 )
 
-// saveScenario writes the scenario section.
-func saveScenario(w *codec.Writer, sc *Scenario) {
-	w.Tag("scenario")
-	w.Int(sc.NLeaf)
-	w.Int(sc.HostsPerLeaf)
-	w.Int(sc.NSpine)
-	w.Int(sc.Shards)
-	w.I64(sc.Seed)
-	w.Int(sc.Flows)
-	w.I64(sc.MaxBytes)
-	w.I64(int64(sc.Spread))
-	w.Bool(sc.MixTCP)
-	w.Int(sc.FaultLinks)
-	w.I64(int64(sc.MTBF))
-	w.I64(int64(sc.MTTR))
-	w.I64(sc.FaultSeed)
-	w.I64(int64(sc.Horizon))
-	w.String(sc.Fidelity)
-	w.Bool(sc.WRED != nil)
-	if sc.WRED != nil {
-		w.Int(sc.WRED.Kmin)
-		w.Int(sc.WRED.Kmax)
-		w.F64(sc.WRED.Pmax)
+// Sync saves or restores the scenario section.
+func (sc *Scenario) Sync(s *codec.Stream) {
+	s.Tag("scenario")
+	codec.Int(s, &sc.NLeaf)
+	codec.Int(s, &sc.HostsPerLeaf)
+	codec.Int(s, &sc.NSpine)
+	codec.Int(s, &sc.Shards)
+	codec.Int(s, &sc.Seed)
+	codec.Int(s, &sc.Flows)
+	codec.Int(s, &sc.MaxBytes)
+	codec.Int(s, &sc.Spread)
+	s.Bool(&sc.MixTCP)
+	codec.Int(s, &sc.FaultLinks)
+	codec.Int(s, &sc.MTBF)
+	codec.Int(s, &sc.MTTR)
+	codec.Int(s, &sc.FaultSeed)
+	codec.Int(s, &sc.Horizon)
+	s.String(&sc.Fidelity)
+	wred := sc.WRED != nil
+	s.Bool(&wred)
+	if wred {
+		if s.Loading() {
+			sc.WRED = &red.Config{}
+		}
+		codec.Int(s, &sc.WRED.Kmin)
+		codec.Int(s, &sc.WRED.Kmax)
+		codec.Float(s, &sc.WRED.Pmax)
+	} else if s.Loading() {
+		sc.WRED = nil
 	}
-	w.Bool(sc.ACC)
-	w.I64(int64(sc.SamplePeriod))
+	s.Bool(&sc.ACC)
+	codec.Int(s, &sc.SamplePeriod)
 }
 
-// loadScenario reads the scenario section.
-func loadScenario(r *codec.Reader) (Scenario, error) {
+// readScenario decodes and validates the scenario section of a reading
+// stream.
+func readScenario(s *codec.Stream) (Scenario, error) {
 	var sc Scenario
-	r.Expect("scenario")
-	sc.NLeaf = r.Int()
-	sc.HostsPerLeaf = r.Int()
-	sc.NSpine = r.Int()
-	sc.Shards = r.Int()
-	sc.Seed = r.I64()
-	sc.Flows = r.Int()
-	sc.MaxBytes = r.I64()
-	sc.Spread = simtime.Duration(r.I64())
-	sc.MixTCP = r.Bool()
-	sc.FaultLinks = r.Int()
-	sc.MTBF = simtime.Duration(r.I64())
-	sc.MTTR = simtime.Duration(r.I64())
-	sc.FaultSeed = r.I64()
-	sc.Horizon = simtime.Time(r.I64())
-	sc.Fidelity = r.String()
-	if r.Bool() {
-		sc.WRED = &red.Config{Kmin: r.Int(), Kmax: r.Int(), Pmax: r.F64()}
-	}
-	sc.ACC = r.Bool()
-	sc.SamplePeriod = simtime.Duration(r.I64())
-	if err := r.Err(); err != nil {
+	s.Tag("snap-world")
+	sc.Sync(s)
+	if err := s.Err(); err != nil {
 		return sc, err
 	}
 	return sc, sc.Validate()
+}
+
+// syncSections saves or restores everything after the scenario, in
+// stream order. On restore the order is load-bearing; see Restore.
+func (w *World) syncSections(s *codec.Stream) {
+	w.E.Sync(s)
+	if s.Loading() && s.Err() == nil {
+		w.App.RestorePending()
+	}
+	hyb := w.App.Hybrid != nil
+	s.Bool(&hyb)
+	if s.Err() == nil && hyb != (w.App.Hybrid != nil) {
+		s.Fail("snap: stream fidelity disagrees with scenario %q", w.Sc.Fidelity)
+	}
+	if w.App.Hybrid != nil {
+		w.App.Hybrid.Sync(s)
+	}
+	w.App.Sync(s, w.E)
+	w.Smp.Sync(s)
+	n := len(w.ACC)
+	codec.Int(s, &n)
+	if s.Err() == nil && n != len(w.ACC) {
+		s.Fail("snap: stream has %d ACC deployments, world has %d", n, len(w.ACC))
+	}
+	for _, sys := range w.ACC {
+		sys.Sync(s)
+	}
 }
 
 // Snapshot captures the world's complete dynamic state. Call with the
@@ -86,21 +100,11 @@ func loadScenario(r *codec.Reader) (Scenario, error) {
 // returned stream is self-contained (it embeds the Scenario) and
 // CRC-protected.
 func (w *World) Snapshot() []byte {
-	enc := codec.NewWriter()
-	enc.Tag("snap-world")
-	saveScenario(enc, &w.Sc)
-	w.E.SaveState(enc)
-	enc.Bool(w.App.Hybrid != nil)
-	if w.App.Hybrid != nil {
-		w.App.Hybrid.SaveState(enc)
-	}
-	w.E.SaveApplied(enc, w.App)
-	w.Smp.SaveState(enc)
-	enc.Int(len(w.ACC))
-	for _, s := range w.ACC {
-		s.SaveState(enc)
-	}
-	return enc.Finish()
+	s := codec.NewWriter()
+	s.Tag("snap-world")
+	w.Sc.Sync(s)
+	w.syncSections(s)
+	return s.Finish()
 }
 
 // Restore rebuilds the world a snapshot was taken from and overlays the
@@ -110,24 +114,23 @@ func (w *World) Snapshot() []byte {
 //  1. Build — reconstructs every object, closure, and routing table; the
 //     hybrid apply path starts due flows synchronously, and ACC arms its
 //     tick timers, exactly as the original construction did.
-//  2. Engine.RestoreState — clears every rebuilt queue, restores clocks,
+//  2. Engine.Sync — clears every rebuilt queue, restores clocks,
 //     counters, RNG draw positions, buffers, and in-flight packets.
 //  3. Applied.RestorePending — re-inserts still-pending plan events
 //     (their rebuilt handles carry the original (time, seq) slots).
-//  4. HybridState.RestoreState — overlays the fast-forward engine and
-//     re-binds flow callbacks (hybrid worlds only; before step 5 so
-//     mid-window completion marks land on restored bookkeeping).
-//  5. Engine.RestoreApplied — discards construction-time transports,
-//     rebuilds the live ones, re-parks NIC waiters.
+//  4. HybridState.Sync — overlays the fast-forward engine and re-binds
+//     flow callbacks (hybrid worlds only; before step 5 so mid-window
+//     completion marks land on restored bookkeeping).
+//  5. Applied.Sync — discards construction-time transports, rebuilds the
+//     live ones, re-parks NIC waiters.
 //  6. Sampler and ACC overlays — series, agents, optimizer state, and
 //     timer re-arming onto the restored queues.
 func Restore(data []byte) (*World, error) {
-	r, err := codec.NewReader(data)
+	s, err := codec.NewReader(data)
 	if err != nil {
 		return nil, err
 	}
-	r.Expect("snap-world")
-	sc, err := loadScenario(r)
+	sc, err := readScenario(s)
 	if err != nil {
 		return nil, err
 	}
@@ -135,35 +138,11 @@ func Restore(data []byte) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := w.E.RestoreState(r); err != nil {
+	w.syncSections(s)
+	if err := s.Err(); err != nil {
 		return nil, err
 	}
-	w.App.RestorePending()
-	if hyb := r.Bool(); hyb != (w.App.Hybrid != nil) {
-		return nil, fmt.Errorf("snap: stream fidelity disagrees with scenario %q", sc.Fidelity)
-	}
-	if w.App.Hybrid != nil {
-		if err := w.App.Hybrid.RestoreState(r); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.E.RestoreApplied(r, w.App); err != nil {
-		return nil, err
-	}
-	if err := w.Smp.RestoreState(r); err != nil {
-		return nil, err
-	}
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if n != len(w.ACC) {
-		return nil, fmt.Errorf("snap: stream has %d ACC deployments, world has %d", n, len(w.ACC))
-	}
-	for _, s := range w.ACC {
-		s.RestoreState(r)
-	}
-	return w, r.Err()
+	return w, nil
 }
 
 // Fork restores a snapshot and applies a branch variant at the restored
@@ -206,10 +185,9 @@ func ReadFile(path string) ([]byte, Scenario, error) {
 
 // Peek decodes just the scenario header of a snapshot stream.
 func Peek(data []byte) (Scenario, error) {
-	r, err := codec.NewReader(data)
+	s, err := codec.NewReader(data)
 	if err != nil {
 		return Scenario{}, err
 	}
-	r.Expect("snap-world")
-	return loadScenario(r)
+	return readScenario(s)
 }

@@ -1,6 +1,7 @@
 package snap
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -122,31 +123,87 @@ func TestSnapshotIsRepeatable(t *testing.T) {
 	}
 }
 
+// sweepWorld is the warm-fork sweep's fabric (8 leaves of 16 hosts, 4
+// spines, 2 shards, 2,000 flows of at most 128 KB over 1.8 ms) with TCP
+// mixed in.
+func sweepWorld(seed int64, fidelity string) Scenario {
+	return Scenario{
+		NLeaf: 8, HostsPerLeaf: 16, NSpine: 4, Shards: 2,
+		Seed:  seed,
+		Flows: 2000, MaxBytes: 128 * simtime.KB, Spread: 1800 * simtime.Microsecond, MixTCP: true,
+		Horizon:  simtime.Time(2 * simtime.Millisecond),
+		Fidelity: fidelity,
+	}
+}
+
+// wredLadder returns the first n branches of sweep.WREDLadder (package
+// sweep imports snap, so the ladder is restated here).
+func wredLadder(n int) []Variant {
+	var out []Variant
+	for i := 0; i < n; i++ {
+		kmin := (10 + 15*i) * simtime.KB
+		out = append(out, Variant{
+			Name: fmt.Sprintf("wred-%02d", i),
+			WRED: &red.Config{Kmin: kmin, Kmax: 4 * kmin, Pmax: 0.2 + 0.05*float64(i%8)},
+		})
+	}
+	return out
+}
+
 // TestForkMatchesColdRun: every branch forked from a warm snapshot must be
 // bit-identical to a cold run that applied the same variant at the same
-// instant — the property that lets sweeps share one warmup.
+// instant — the property that lets sweeps share one warmup. The sweep
+// worlds pin two restore defects: hybrid link rate sums that lost their
+// fraction or summation order (hybrid-tcp), and a fully acknowledged TCP
+// sender still parked as a NIC waiter at the snapshot (packet-tcp-waiter).
 func TestForkMatchesColdRun(t *testing.T) {
-	for _, fidelity := range []string{"packet", "hybrid"} {
-		t.Run(fidelity, func(t *testing.T) {
-			sc := testScenario(4, fidelity)
-			branch := sc.Horizon / 2
-			variants := []Variant{
-				{Name: "wred-shallow", WRED: &red.Config{Kmin: 10 * simtime.KB, Kmax: 40 * simtime.KB, Pmax: 0.8}},
-				{Name: "fault-burst", Faults: []psim.FaultEvent{
-					{At: branch.Add(20 * simtime.Microsecond), Link: psim.LeafSpineLink(1, 1), Down: true},
-					{At: branch.Add(120 * simtime.Microsecond), Link: psim.LeafSpineLink(1, 1), Down: false},
-				}},
-				{Name: "baseline"},
-			}
-
+	faultBurst := func(branch simtime.Time) Variant {
+		return Variant{Name: "fault-burst", Faults: []psim.FaultEvent{
+			{At: branch.Add(20 * simtime.Microsecond), Link: psim.LeafSpineLink(1, 1), Down: true},
+			{At: branch.Add(120 * simtime.Microsecond), Link: psim.LeafSpineLink(1, 1), Down: false},
+		}}
+	}
+	small := func(fidelity string) (Scenario, simtime.Time, []Variant) {
+		sc := testScenario(4, fidelity)
+		branch := sc.Horizon / 2
+		return sc, branch, []Variant{
+			{Name: "wred-shallow", WRED: &red.Config{Kmin: 10 * simtime.KB, Kmax: 40 * simtime.KB, Pmax: 0.8}},
+			faultBurst(branch),
+			{Name: "baseline"},
+		}
+	}
+	warmPoint := simtime.Time(1500 * simtime.Microsecond)
+	cases := []struct {
+		name     string
+		sc       Scenario
+		branch   simtime.Time
+		variants []Variant
+	}{
+		{name: "packet"},
+		{name: "hybrid"},
+		{"hybrid-tcp", sweepWorld(1, "hybrid"), warmPoint, wredLadder(3)},
+		{"packet-tcp-waiter", sweepWorld(1269363702, "packet"), warmPoint, wredLadder(1)},
+	}
+	cases[0].sc, cases[0].branch, cases[0].variants = small("packet")
+	cases[1].sc, cases[1].branch, cases[1].variants = small("hybrid")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, branch := tc.sc, tc.branch
 			warm, err := Build(sc)
 			if err != nil {
 				t.Fatalf("Build: %v", err)
 			}
 			warm.Run(branch)
 			img := warm.Snapshot()
+			again, err := Restore(img)
+			if err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			if string(again.Snapshot()) != string(img) {
+				t.Fatalf("restore→snapshot is not byte-identical to the original snapshot")
+			}
 
-			for _, v := range variants {
+			for _, v := range tc.variants {
 				forked, err := Fork(img, v)
 				if err != nil {
 					t.Fatalf("Fork(%s): %v", v.Name, err)

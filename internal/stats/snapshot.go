@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/snap/codec"
 )
@@ -8,83 +9,44 @@ import (
 // Snapshot support for the measurement layer: time series contents and the
 // monitors' self-rescheduling tick slots. Restore overlays a freshly
 // constructed monitor (same queue/port/period) — the constructor armed a
-// first tick, the restored eventq wiped it, and RestoreState re-arms the
-// recorded one.
+// first tick, the restored eventq wiped it, and Sync re-arms the recorded
+// one.
 
-// SaveState writes the series contents.
-func (s *Series) SaveState(w *codec.Writer) {
-	w.Tag("series")
-	w.Int(len(s.Times))
-	for _, t := range s.Times {
-		w.I64(int64(t))
-	}
-	w.F64s(s.Values)
-}
-
-// RestoreState replaces the series contents.
-func (s *Series) RestoreState(r *codec.Reader) {
-	r.Expect("series")
-	n := r.Int()
-	if r.Err() != nil || n < 0 {
-		r.Fail("series length %d invalid", n)
-		return
-	}
-	s.Times = make([]simtime.Time, n)
-	for i := range s.Times {
-		s.Times[i] = simtime.Time(r.I64())
-	}
-	s.Values = r.F64s()
-	if r.Err() == nil && len(s.Values) != n {
-		r.Fail("series times/values length mismatch %d/%d", n, len(s.Values))
+// Sync saves or restores the series contents.
+func (sr *Series) Sync(s *codec.Stream) {
+	s.Tag("series")
+	codec.Slice(s, &sr.Times, 1, codec.Int)
+	codec.Floats(s, &sr.Values)
+	if s.Err() == nil && len(sr.Values) != len(sr.Times) {
+		s.Fail("series times/values length mismatch %d/%d", len(sr.Times), len(sr.Values))
 	}
 }
 
-// SaveState writes the monitor's samples and pending tick slot.
-func (m *QueueMonitor) SaveState(w *codec.Writer) {
-	w.Tag("qmon")
-	m.Series.SaveState(w)
-	w.Bool(m.stopped)
-	w.Bool(m.nextPending)
-	w.I64(int64(m.nextAt))
-	w.U64(m.nextSeq)
-}
-
-// RestoreState overlays saved state onto a freshly constructed monitor and
-// re-arms its tick at the recorded slot.
-func (m *QueueMonitor) RestoreState(r *codec.Reader) {
-	r.Expect("qmon")
-	m.Series.RestoreState(r)
-	m.stopped = r.Bool()
-	m.nextPending = r.Bool()
-	m.nextAt = simtime.Time(r.I64())
-	m.nextSeq = r.U64()
-	if r.Err() == nil && m.nextPending {
-		m.net.Q.RestoreCallAt(m.nextAt, m.nextSeq, m.tickFn, nil)
+// syncTick saves or restores a monitor's next-tick slot and, on restore,
+// re-arms a pending tick at it.
+func syncTick(s *codec.Stream, net *netsim.Network, pending *bool, at *simtime.Time, seq *uint64, fn func(any)) {
+	s.Bool(pending)
+	codec.Int(s, at)
+	codec.Uint(s, seq)
+	if *pending {
+		net.Q.RestoreCall(s, *at, *seq, fn, nil)
 	}
 }
 
-// SaveState writes the meter's samples, byte cursor, and pending tick slot.
-func (m *ThroughputMeter) SaveState(w *codec.Writer) {
-	w.Tag("tmeter")
-	m.Series.SaveState(w)
-	w.U64(m.lastTx)
-	w.Bool(m.stopped)
-	w.Bool(m.nextPending)
-	w.I64(int64(m.nextAt))
-	w.U64(m.nextSeq)
+// Sync saves or restores the monitor's samples and pending tick slot.
+func (m *QueueMonitor) Sync(s *codec.Stream) {
+	s.Tag("qmon")
+	m.Series.Sync(s)
+	s.Bool(&m.stopped)
+	syncTick(s, m.net, &m.nextPending, &m.nextAt, &m.nextSeq, m.tickFn)
 }
 
-// RestoreState overlays saved state onto a freshly constructed meter and
-// re-arms its tick at the recorded slot.
-func (m *ThroughputMeter) RestoreState(r *codec.Reader) {
-	r.Expect("tmeter")
-	m.Series.RestoreState(r)
-	m.lastTx = r.U64()
-	m.stopped = r.Bool()
-	m.nextPending = r.Bool()
-	m.nextAt = simtime.Time(r.I64())
-	m.nextSeq = r.U64()
-	if r.Err() == nil && m.nextPending {
-		m.net.Q.RestoreCallAt(m.nextAt, m.nextSeq, m.tickFn, nil)
-	}
+// Sync saves or restores the meter's samples, byte cursor, and pending
+// tick slot.
+func (m *ThroughputMeter) Sync(s *codec.Stream) {
+	s.Tag("tmeter")
+	m.Series.Sync(s)
+	codec.Uint(s, &m.lastTx)
+	s.Bool(&m.stopped)
+	syncTick(s, m.net, &m.nextPending, &m.nextAt, &m.nextSeq, m.tickFn)
 }

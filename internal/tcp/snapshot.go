@@ -1,171 +1,96 @@
 package tcp
 
 import (
-	"sort"
-
-	"github.com/accnet/acc/internal/eventq"
 	"github.com/accnet/acc/internal/netsim"
-	"github.com/accnet/acc/internal/simtime"
 	"github.com/accnet/acc/internal/snap/codec"
 )
 
 // Snapshot support, mirroring package dcqcn: live senders and receivers
-// serialize their complete dynamic state, and restore constructors rebuild
-// them on a freshly restored Network without construction side effects (no
-// initial trySend, no parameter re-normalization — Params were normalized
-// when the flow first started and are saved verbatim). Completed halves
-// unregister themselves, so only live flows appear in snapshots.
+// serialize their complete dynamic state through Sync, and restore
+// constructors rebuild them on a freshly restored Network without
+// construction side effects (no initial trySend, no parameter
+// re-normalization — Params were normalized when the flow first started
+// and are saved verbatim). Completed halves unregister themselves, so only
+// live flows appear in snapshots.
 
-func saveParams(w *codec.Writer, p Params) {
-	w.Int(p.MTU)
-	w.Int(p.Prio)
-	w.Bool(p.ECN)
-	w.F64(p.G)
-	w.Int(p.InitCwndPkts)
-	w.Int(p.MaxCwndPkts)
-	w.I64(int64(p.RTOMin))
-	w.Int(p.DupAckThresh)
+// Sync saves or restores the parameters.
+func (p *Params) Sync(s *codec.Stream) {
+	codec.Int(s, &p.MTU)
+	codec.Int(s, &p.Prio)
+	s.Bool(&p.ECN)
+	codec.Float(s, &p.G)
+	codec.Int(s, &p.InitCwndPkts)
+	codec.Int(s, &p.MaxCwndPkts)
+	codec.Int(s, &p.RTOMin)
+	codec.Int(s, &p.DupAckThresh)
 }
 
-func loadParams(r *codec.Reader) Params {
-	var p Params
-	p.MTU = r.Int()
-	p.Prio = r.Int()
-	p.ECN = r.Bool()
-	p.G = r.F64()
-	p.InitCwndPkts = r.Int()
-	p.MaxCwndPkts = r.Int()
-	p.RTOMin = simtime.Duration(r.I64())
-	p.DupAckThresh = r.Int()
-	return p
+// Sync saves or restores the sender's dynamic state. The send-time map is
+// encoded in ascending sequence order, so identical states produce
+// identical bytes. On restore it re-arms the RTO; RestoreSender does the
+// rest.
+func (f *Flow) Sync(s *codec.Stream) {
+	s.Tag("tcp-tx")
+	codec.Uint(s, &f.ID)
+	codec.Int(s, &f.DstID)
+	codec.Int(s, &f.Size)
+	f.P.Sync(s)
+	codec.Int(s, &f.Start)
+	codec.Int(s, &f.End)
+	codec.Int(s, &f.sndUna)
+	codec.Int(s, &f.sndNext)
+	codec.Float(s, &f.cwnd)
+	codec.Float(s, &f.ssthresh)
+	s.Bool(&f.inRecovery)
+	codec.Int(s, &f.recoverEnd)
+	codec.Int(s, &f.dupAcks)
+	codec.Float(s, &f.alpha)
+	codec.Int(s, &f.ackedBytes)
+	codec.Int(s, &f.markedBytes)
+	codec.Int(s, &f.winEnd)
+	codec.Int(s, &f.cwndCutSeq)
+	codec.Int(s, &f.srtt)
+	codec.Int(s, &f.rttvar)
+	codec.Uint(s, &f.Retransmits)
+	codec.Uint(s, &f.Timeouts)
+	codec.Uint(s, &f.ECEAcks)
+	codec.IntMap(s, &f.sendTimes, codec.Int)
+	f.net.Q.SyncTimer(s, &f.rtoEv, f.onRTOFn)
 }
 
-// SaveState writes the sender's dynamic state. Maps are serialized in sorted
-// key order so identical states produce identical bytes.
-func (f *Flow) SaveState(w *codec.Writer) {
-	w.Tag("tcp-tx")
-	w.U64(uint64(f.ID))
-	w.Int(f.DstID)
-	w.I64(f.Size)
-	saveParams(w, f.P)
-	w.I64(int64(f.Start))
-	w.I64(int64(f.End))
-	w.I64(f.sndUna)
-	w.I64(f.sndNext)
-	w.F64(f.cwnd)
-	w.F64(f.ssthresh)
-	w.Bool(f.inRecovery)
-	w.I64(f.recoverEnd)
-	w.Int(f.dupAcks)
-	w.F64(f.alpha)
-	w.I64(f.ackedBytes)
-	w.I64(f.markedBytes)
-	w.I64(f.winEnd)
-	w.I64(f.cwndCutSeq)
-	w.I64(int64(f.srtt))
-	w.I64(int64(f.rttvar))
-	w.U64(f.Retransmits)
-	w.U64(f.Timeouts)
-	w.U64(f.ECEAcks)
-	seqs := make([]int64, 0, len(f.sendTimes))
-	//acclint:ignore determinism@1 key collection followed by sort is iteration-order-independent
-	for s := range f.sendTimes {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	w.Int(len(seqs))
-	for _, s := range seqs {
-		w.I64(s)
-		w.I64(int64(f.sendTimes[s]))
-	}
-	eventq.SaveTimer(w, f.rtoEv)
-}
-
-// RestoreSender rebuilds a live sender saved by SaveState on src,
-// registering its endpoint and re-arming the RTO at its recorded slot. No
-// packets are sent.
-func RestoreSender(net *netsim.Network, src *netsim.Host, r *codec.Reader) *Flow {
-	r.Expect("tcp-tx")
+// RestoreSender rebuilds a live sender from s on src, registering its
+// endpoint and re-arming the RTO at its recorded slot. No packets are
+// sent.
+func RestoreSender(net *netsim.Network, src *netsim.Host, s *codec.Stream) *Flow {
 	f := &Flow{Src: src, net: net}
-	f.ID = netsim.FlowID(r.U64())
-	f.DstID = r.Int()
-	f.Size = r.I64()
-	f.P = loadParams(r)
-	f.Start = simtime.Time(r.I64())
-	f.End = simtime.Time(r.I64())
-	f.sndUna = r.I64()
-	f.sndNext = r.I64()
-	f.cwnd = r.F64()
-	f.ssthresh = r.F64()
-	f.inRecovery = r.Bool()
-	f.recoverEnd = r.I64()
-	f.dupAcks = r.Int()
-	f.alpha = r.F64()
-	f.ackedBytes = r.I64()
-	f.markedBytes = r.I64()
-	f.winEnd = r.I64()
-	f.cwndCutSeq = r.I64()
-	f.srtt = simtime.Duration(r.I64())
-	f.rttvar = simtime.Duration(r.I64())
-	f.Retransmits = r.U64()
-	f.Timeouts = r.U64()
-	f.ECEAcks = r.U64()
-	n := r.Int()
-	f.sendTimes = make(map[int64]simtime.Time, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		s := r.I64()
-		f.sendTimes[s] = simtime.Time(r.I64())
-	}
 	f.trySendFn = f.trySend
 	f.onRTOFn = f.onRTO
-	f.rtoEv = net.Q.RestoreTimer(r, f.onRTOFn)
-	if r.Err() != nil {
+	f.Sync(s)
+	if s.Err() != nil {
 		return nil
 	}
 	src.Register(f.ID, netsim.EndpointFunc(f.senderHandle))
 	return f
 }
 
-// SaveState writes the receiver's dynamic state.
-func (rx *Receiver) SaveState(w *codec.Writer) {
-	w.Tag("tcp-rx")
-	w.U64(uint64(rx.ID))
-	w.Int(rx.SrcID)
-	w.I64(rx.Size)
-	saveParams(w, rx.P)
-	w.I64(int64(rx.Start))
-	w.I64(rx.rcvNext)
-	seqs := make([]int64, 0, len(rx.ooo))
-	//acclint:ignore determinism@1 key collection followed by sort is iteration-order-independent
-	for s := range rx.ooo {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	w.Int(len(seqs))
-	for _, s := range seqs {
-		w.I64(s)
-		w.Int(rx.ooo[s])
-	}
+// Sync saves or restores the receiver's dynamic state.
+func (rx *Receiver) Sync(s *codec.Stream) {
+	s.Tag("tcp-rx")
+	codec.Uint(s, &rx.ID)
+	codec.Int(s, &rx.SrcID)
+	codec.Int(s, &rx.Size)
+	rx.P.Sync(s)
+	codec.Int(s, &rx.Start)
+	codec.Int(s, &rx.rcvNext)
+	codec.IntMap(s, &rx.ooo, codec.Int)
 }
 
-// RestoreReceiver rebuilds a live receiver on dst. onDone is the world's
-// completion callback, re-bound by the caller.
-func RestoreReceiver(dst *netsim.Host, onDone func(*Receiver), r *codec.Reader) *Receiver {
-	r.Expect("tcp-rx")
+// RestoreReceiver rebuilds a live receiver from s on dst. onDone is the
+// world's completion callback, re-bound by the caller.
+func RestoreReceiver(dst *netsim.Host, onDone func(*Receiver), s *codec.Stream) *Receiver {
 	rx := &Receiver{Dst: dst, net: dst.Net(), onDone: onDone}
-	rx.ID = netsim.FlowID(r.U64())
-	rx.SrcID = r.Int()
-	rx.Size = r.I64()
-	rx.P = loadParams(r)
-	rx.Start = simtime.Time(r.I64())
-	rx.rcvNext = r.I64()
-	n := r.Int()
-	rx.ooo = make(map[int64]int, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		s := r.I64()
-		rx.ooo[s] = r.Int()
-	}
-	if r.Err() != nil {
+	rx.Sync(s)
+	if s.Err() != nil {
 		return nil
 	}
 	dst.Register(rx.ID, netsim.EndpointFunc(rx.handle))

@@ -42,7 +42,7 @@ func TestSenderSnapshotRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		_, fl, _ := tcpMidFlight(t, seed)
 		w := codec.NewWriter()
-		fl.SaveState(w)
+		fl.Sync(w)
 		img := w.Finish()
 
 		net2 := netsim.New(seed)
@@ -60,7 +60,7 @@ func TestSenderSnapshotRoundTrip(t *testing.T) {
 				seed, fl2.Cwnd(), fl.Cwnd(), fl2.Alpha(), fl.Alpha())
 		}
 		w2 := codec.NewWriter()
-		fl2.SaveState(w2)
+		fl2.Sync(w2)
 		if img2 := w2.Finish(); !bytes.Equal(img, img2) {
 			t.Fatalf("seed %d: save∘restore∘save changed bytes (%d vs %d)", seed, len(img), len(img2))
 		}
@@ -73,7 +73,7 @@ func TestReceiverSnapshotRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		_, _, rx := tcpMidFlight(t, seed)
 		w := codec.NewWriter()
-		rx.SaveState(w)
+		rx.Sync(w)
 		img := w.Finish()
 
 		net2 := netsim.New(seed)
@@ -87,7 +87,7 @@ func TestReceiverSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: RestoreReceiver: %v", seed, r.Err())
 		}
 		w2 := codec.NewWriter()
-		rx2.SaveState(w2)
+		rx2.Sync(w2)
 		if img2 := w2.Finish(); !bytes.Equal(img, img2) {
 			t.Fatalf("seed %d: save∘restore∘save changed bytes", seed)
 		}
