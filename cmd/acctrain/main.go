@@ -53,6 +53,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "acctrain:", err)
 		os.Exit(1)
 	}
+	// Read-back validation: a model file that cannot be loaded should fail
+	// here, at write time, not on the switch that installs it.
+	model, err := acc.LoadModel(*out)
+	if err == nil && model.NumParams() != agent.Eval.NumParams() {
+		err = fmt.Errorf("%s holds %d parameters, trained network has %d", *out, model.NumParams(), agent.Eval.NumParams())
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "acctrain: reading back model:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("trained %d episodes in %v; %d transitions in memory; model -> %s\n",
 		cfg.Episodes, time.Since(t0).Round(time.Millisecond), agent.Memory.Len(), *out)
 }

@@ -27,7 +27,6 @@ type CentralizedConfig struct {
 	// actions to further reduce action space ... to hundreds of actions").
 	Template []red.Config
 
-	Explore     bool
 	TrainOnline bool
 	Agent       rl.AgentConfig
 }
@@ -54,7 +53,6 @@ func DefaultCentralizedConfig() CentralizedConfig {
 		W2:           0.3,
 		Reward:       StepReward,
 		Template:     ReducedTemplate(),
-		Explore:      true,
 		TrainOnline:  true,
 	}
 }
@@ -232,12 +230,7 @@ func (c *Centralized) tick() {
 		}
 	}
 
-	var action int
-	if c.Cfg.Explore {
-		action = c.Agent.Act(state, c.rng)
-	} else {
-		action = c.Agent.ActGreedy(state)
-	}
+	action := c.Agent.Act(state, c.rng)
 	c.Inferences++
 	c.prevState, c.prevAction, c.havePrev = state, action, true
 

@@ -44,7 +44,7 @@ func TestHillClimberStops(t *testing.T) {
 	if hc.Trials != trials {
 		t.Fatal("climber kept probing after Stop")
 	}
-	if hc.hcDuration() != 3*DefaultConfig().Period {
+	if simtime.Duration(hc.Probation)*hc.Cfg.Period != 3*DefaultConfig().Period {
 		t.Fatal("probe cycle duration wrong")
 	}
 }
@@ -60,19 +60,8 @@ func TestTunerPrioFilter(t *testing.T) {
 	tcfg.Prios = []int{3}
 	tuner := NewTuner(net, fab.Leaves[0], nil, tcfg)
 	// 4 ports x 1 queue (prio 3 only).
-	if tuner.Queues() != 4 {
-		t.Fatalf("monitoring %d queues, want 4 (prio-3 only)", tuner.Queues())
-	}
-}
-
-func TestTunerPrioritizedReplayOption(t *testing.T) {
-	net, fab := buildIncast(22, 4)
-	cfg := DefaultConfig()
-	cfg.PrioritizedAlpha = 0.6
-	tuner := NewTuner(net, fab.Leaves[0], nil, cfg)
-	net.RunUntil(simtime.Time(10 * simtime.Millisecond))
-	if tuner.TrainRuns == 0 {
-		t.Fatal("prioritized training never ran")
+	if len(tuner.queues) != 4 {
+		t.Fatalf("monitoring %d queues, want 4 (prio-3 only)", len(tuner.queues))
 	}
 }
 

@@ -46,41 +46,6 @@ func LevelOf(bytes int) int {
 	return ELevels
 }
 
-// KmaxChoices are the coarse high-threshold settings of §3.3 ("throughput is
-// not sensitive to the high marking threshold when it is larger than 1MB").
-func KmaxChoices() []int {
-	return []int{1 * simtime.MB, 2 * simtime.MB, 5 * simtime.MB, 10 * simtime.MB}
-}
-
-// PmaxChoices returns the §3.3 marking-probability grid {1%, j·5%}.
-func PmaxChoices() []float64 {
-	out := []float64{0.01}
-	for j := 1; j <= 20; j++ {
-		out = append(out, float64(j)*0.05)
-	}
-	return out
-}
-
-// FullTemplate enumerates the complete discretized action space: every
-// (Kmin=E(n), Kmax, Pmax) combination with Kmin <= Kmax. This is the space
-// the paper's §3.2 sizing discussion counts; training over all of it is
-// possible but slow, so DefaultTemplate curates the deployed subset.
-func FullTemplate() []red.Config {
-	var out []red.Config
-	for _, kmax := range KmaxChoices() {
-		for n := 0; n < ELevels; n++ {
-			kmin := E(n)
-			if kmin > kmax {
-				continue
-			}
-			for _, p := range PmaxChoices() {
-				out = append(out, red.Config{Kmin: kmin, Kmax: kmax, Pmax: p})
-			}
-		}
-	}
-	return out
-}
-
 // DefaultTemplate is the 20-entry ECN configuration template installed in
 // the forwarding chip (§4.1 "configurator maps the action into ECN
 // template"); its size matches the paper's 20-node output layer (§6). The

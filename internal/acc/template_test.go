@@ -103,30 +103,6 @@ func TestDefaultTemplate(t *testing.T) {
 	}
 }
 
-func TestFullTemplateRespectsConstraint(t *testing.T) {
-	full := FullTemplate()
-	if len(full) == 0 {
-		t.Fatal("empty full template")
-	}
-	for _, c := range full {
-		if c.Kmin > c.Kmax {
-			t.Fatalf("full template violates Kmin<=Kmax: %+v", c)
-		}
-	}
-	// §3.2 sizing: 4 Kmax × 10 Kmin × 21 Pmax minus Kmin>Kmax combos.
-	want := 0
-	for _, kmax := range KmaxChoices() {
-		for n := 0; n < ELevels; n++ {
-			if E(n) <= kmax {
-				want += len(PmaxChoices())
-			}
-		}
-	}
-	if len(full) != want {
-		t.Fatalf("full template size %d, want %d", len(full), want)
-	}
-}
-
 func TestReducedTemplateSize(t *testing.T) {
 	r := ReducedTemplate()
 	if len(r) != 10 {

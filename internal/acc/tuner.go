@@ -54,17 +54,10 @@ type Config struct {
 	// Template is the ECN configuration template (action space).
 	Template []red.Config
 
-	// Explore enables ε-greedy action selection; disable to run a frozen
-	// policy greedily.
-	Explore bool
 	// TrainOnline runs a DDQN optimization step each interval (§4.3).
 	TrainOnline bool
 	// TrainEvery trains on every N-th tick (1 = every tick).
 	TrainEvery int
-	// PrioritizedAlpha > 0 enables the §4.3 online refinement where
-	// high-reward experiences are prioritised during replay sampling;
-	// 0 keeps uniform sampling.
-	PrioritizedAlpha float64
 
 	// BusyIdle enables the §4.2 optimization: queues whose length stays
 	// under Kmin, or whose reward hasn't changed for IdleSlots consecutive
@@ -95,7 +88,6 @@ func DefaultConfig() Config {
 		W2:          0.3,
 		Reward:      StepReward,
 		Template:    DefaultTemplate(),
-		Explore:     true,
 		TrainOnline: true,
 		TrainEvery:  1,
 		BusyIdle:    true,
@@ -260,11 +252,8 @@ func (t *Tuner) Stop() { t.stopped = true }
 
 // SetTelemetryFault installs (or, with nil, removes) a fault on the
 // collector path. Queue indices passed to the fault are the tuner's
-// monitored-queue indices, in [0, Queues()).
+// monitored-queue indices.
 func (t *Tuner) SetTelemetryFault(f TelemetryFault) { t.fault = f }
-
-// Queues returns the number of monitored queues.
-func (t *Tuner) Queues() int { return len(t.queues) }
 
 // QueueTrace returns the Kmin trace of monitored queue i (RecordTrace mode).
 func (t *Tuner) QueueTrace(i int) *stats.Series { return &t.queues[i].KminTrace }
@@ -384,11 +373,7 @@ func (t *Tuner) tickQueue(qi int, qs *queueState) {
 			Next:   state,
 		})
 		if t.Cfg.TrainOnline && t.ticks%t.Cfg.TrainEvery == 0 {
-			if t.Cfg.PrioritizedAlpha > 0 {
-				t.Agent.TrainStepPrioritized(t.rng, t.Cfg.PrioritizedAlpha)
-			} else {
-				t.Agent.TrainStep(t.rng)
-			}
+			t.Agent.TrainStep(t.rng)
 			t.TrainRuns++
 		}
 	}
@@ -418,12 +403,7 @@ func (t *Tuner) tickQueue(qi int, qs *queueState) {
 	}
 
 	// Inference + actuation.
-	var action int
-	if t.Cfg.Explore {
-		action = t.Agent.Act(state, t.rng)
-	} else {
-		action = t.Agent.ActGreedy(state)
-	}
+	action := t.Agent.Act(state, t.rng)
 	t.Inferences++
 	// One agent transition per interval: the state that was acted on, the
 	// action chosen, and the reward measured for the *previous* action.

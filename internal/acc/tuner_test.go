@@ -38,8 +38,8 @@ func TestTunerActsAndLearns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RecordTrace = true
 	tuner := NewTuner(net, fab.Leaves[0], nil, cfg)
-	if tuner.Queues() != 9 {
-		t.Fatalf("monitoring %d queues, want 9 (one per port)", tuner.Queues())
+	if len(tuner.queues) != 9 {
+		t.Fatalf("monitoring %d queues, want 9 (one per port)", len(tuner.queues))
 	}
 	net.RunUntil(simtime.Time(20 * simtime.Millisecond))
 	if tuner.Inferences == 0 {

@@ -25,8 +25,8 @@
 // over a rotating window, with a typed min-heap holding far-future overflow),
 // specialized to *Event: no container/heap, no interface-method dispatch, no
 // boxing on the scheduling path. The previous binary-heap scheduler is kept in
-// this package as refQueue (reference.go); differential tests drive both
-// through randomized workloads and assert identical firing order.
+// this package's tests as refQueue (reference_test.go); differential tests
+// drive both through randomized workloads and assert identical firing order.
 package eventq
 
 import (
@@ -121,9 +121,6 @@ func (e *Event) Cancel() {
 	e.arg = nil
 }
 
-// Cancelled reports whether the event was cancelled before firing.
-func (e *Event) Cancelled() bool { return e.cancelled }
-
 // entry is one scheduled occurrence of an event. Rescheduling (Reset) bumps
 // the event's seq, so an entry whose seq no longer matches its event is
 // stale: an invisible artifact that the queue discards on contact. Stale
@@ -193,17 +190,6 @@ func New() *Queue { return &Queue{} }
 
 // Now returns the current virtual time.
 func (q *Queue) Now() simtime.Time { return q.now }
-
-// Len returns the number of entries resident in the schedule. This includes
-// lazily-deleted work — cancelled events not yet reaped and superseded
-// entries left behind by Reset — so it measures memory pressure, not work
-// remaining. Use Pending for the number of events that will still fire.
-func (q *Queue) Len() int { return q.calQ + len(q.ov) }
-
-// Pending returns the number of live scheduled events: those that will fire
-// unless cancelled or rescheduled. Cancelled-but-unreaped events are
-// excluded.
-func (q *Queue) Pending() int { return q.live }
 
 // Processed returns the number of events executed so far.
 func (q *Queue) Processed() uint64 { return q.processed }
@@ -789,12 +775,6 @@ func (q *Queue) RunBefore(barrier simtime.Time) {
 	}
 	if q.now < barrier {
 		q.now = barrier
-	}
-}
-
-// Run executes events until none remain.
-func (q *Queue) Run() {
-	for q.Step() {
 	}
 }
 

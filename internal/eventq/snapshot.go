@@ -220,10 +220,6 @@ func (q *Queue) SyncTimer(s *codec.Stream, ev **Event, fn func()) {
 // Snapshot differential tests use it to assert rebuild equivalence.
 func (q *Queue) Seq() uint64 { return q.seq }
 
-// EventSeq returns the sequence number of a handle event, and EventPending
-// whether it is scheduled: owners record these to re-arm timers on restore.
-func (e *Event) Seq() uint64 { return e.seq }
-
 // Pending reports whether the event is scheduled and will fire.
 func (e *Event) Pending() bool { return e != nil && e.pending }
 

@@ -25,12 +25,6 @@ func TestLinksByRole(t *testing.T) {
 	if got := len(ls.Of(LeafSpine)); got != 4 {
 		t.Errorf("leaf-spine links = %d, want 4", got)
 	}
-	if got := len(ls.Of(SpineCore)); got != 0 {
-		t.Errorf("spine-core links = %d, want 0", got)
-	}
-	if got := ls.Total(); got != 10 {
-		t.Errorf("total links = %d, want 10", got)
-	}
 	// Every link must have both ends wired to each other.
 	for r := Role(0); r < numRoles; r++ {
 		for _, l := range ls.Of(r) {
@@ -41,19 +35,26 @@ func TestLinksByRole(t *testing.T) {
 	}
 }
 
-func TestLinksFatTreeRoles(t *testing.T) {
+func TestLinksLeafSpineRoles(t *testing.T) {
 	net := netsim.New(1)
-	fab := topo.FatTree(net, 4, topo.DefaultConfig())
+	fab := topo.LeafSpine(net, 4, 4, 4, topo.DefaultConfig())
 	ls := Links(fab)
-	// k=4: 16 hosts, 16 edge-agg links, 16 agg-core links.
+	// 4 leaves x 4 hosts, every leaf meshed to 4 spines.
 	if got := len(ls.Of(HostLeaf)); got != 16 {
 		t.Errorf("host-leaf links = %d, want 16", got)
 	}
 	if got := len(ls.Of(LeafSpine)); got != 16 {
 		t.Errorf("leaf-spine links = %d, want 16", got)
 	}
-	if got := len(ls.Of(SpineCore)); got != 16 {
-		t.Errorf("spine-core links = %d, want 16", got)
+	// A is the lower-tier end: every leaf-spine link runs leaf -> spine.
+	leaves := map[netsim.Node]bool{}
+	for _, l := range fab.Leaves {
+		leaves[l] = true
+	}
+	for _, l := range ls.Of(LeafSpine) {
+		if !leaves[l.A.Owner] || leaves[l.B.Owner] {
+			t.Fatalf("leaf-spine link %s does not run leaf -> spine", l.Name())
+		}
 	}
 }
 
@@ -91,7 +92,7 @@ func TestPlanValidate(t *testing.T) {
 	}{
 		{"good", *new(Plan).LinkDownUp(LeafSpine, 0, 0, simtime.Microsecond), true},
 		{"index out of range", *new(Plan).LinkDownUp(LeafSpine, 4, 0, simtime.Microsecond), false},
-		{"no spine-core links", *new(Plan).LinkDownUp(SpineCore, 0, 0, simtime.Microsecond), false},
+		{"unknown role", *new(Plan).LinkDownUp(numRoles, 0, 0, simtime.Microsecond), false},
 		{"negative offset", Plan{Events: []Event{{At: -1, Kind: LinkDown, Role: HostLeaf}}}, false},
 		{"degrade factor 1", Plan{Events: []Event{{Kind: Degrade, Role: HostLeaf, Factor: 1}}}, false},
 		{"good brownout", *new(Plan).Brownout(HostLeaf, 2, 0.5, 0, simtime.Microsecond), true},
@@ -119,8 +120,8 @@ func TestInjectorTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	link := in.Links().Of(LeafSpine)[0]
-	hostLink := in.Links().Of(HostLeaf)[1]
+	link := in.links.Of(LeafSpine)[0]
+	hostLink := in.links.Of(HostLeaf)[1]
 	nominal := hostLink.A.Bandwidth
 
 	in.Start()
@@ -131,7 +132,8 @@ func TestInjectorTimeline(t *testing.T) {
 	if got := hostLink.A.Bandwidth; got != nominal/2 {
 		t.Errorf("degraded bandwidth = %v, want %v", got, nominal/2)
 	}
-	net.Run()
+	for net.Q.Step() {
+	}
 	if link.Down() {
 		t.Error("leaf-spine link should be repaired after the plan drains")
 	}
@@ -168,7 +170,8 @@ func flapLog(t *testing.T, seed int64) []Applied {
 		t.Fatal(err)
 	}
 	in.Start()
-	net.Run() // horizon bounds the flap processes, so the queue drains
+	for net.Q.Step() { // horizon bounds the flap processes, so the queue drains
+	}
 	return in.Log
 }
 
@@ -194,8 +197,9 @@ func TestFlapNeverStrandsLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	in.Start()
-	net.Run()
-	for _, l := range in.Links().Of(LeafSpine) {
+	for net.Q.Step() {
+	}
+	for _, l := range in.links.Of(LeafSpine) {
 		if l.Down() {
 			t.Errorf("link %s stranded down after the horizon drained", l.Name())
 		}
@@ -226,18 +230,18 @@ func TestInjectorHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nominal := in.Links().Of(HostLeaf)[0].A.Bandwidth
+	nominal := in.links.Of(HostLeaf)[0].A.Bandwidth
 	in.Start()
 	net.RunUntil(simtime.Time(0).Add(simtime.Microsecond))
-	if !in.Links().Of(LeafSpine)[1].Down() {
+	if !in.links.Of(LeafSpine)[1].Down() {
 		t.Fatal("link should be down before Heal")
 	}
 	in.Stop()
 	in.Heal()
-	if in.Links().Of(LeafSpine)[1].Down() {
+	if in.links.Of(LeafSpine)[1].Down() {
 		t.Error("Heal left the link down")
 	}
-	if got := in.Links().Of(HostLeaf)[0].A.Bandwidth; got != nominal {
+	if got := in.links.Of(HostLeaf)[0].A.Bandwidth; got != nominal {
 		t.Errorf("Heal left bandwidth %v, want %v", got, nominal)
 	}
 }

@@ -67,10 +67,6 @@ func NewInjector(net *netsim.Network, fab *topo.Fabric, plan Plan) (*Injector, e
 	}, nil
 }
 
-// Links exposes the bound link set (for experiments that report per-link
-// detail).
-func (in *Injector) Links() *LinkSet { return in.links }
-
 // Start schedules the plan's timeline and launches its flap processes,
 // all relative to the current virtual time. Start is idempotent-hostile by
 // design: call it once.

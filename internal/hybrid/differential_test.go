@@ -142,7 +142,7 @@ func TestDifferentialConservationUnderChurn(t *testing.T) {
 	}
 	frames := (size + netsim.DefaultMTU - 1) / netsim.DefaultMTU
 	perFlowWire := uint64(size + frames*netsim.DataHeaderBytes)
-	if got, want := down.DeliveredBytes(), senders*perFlowWire; got != uint64(want) {
+	if got, want := down.TxBytesTotal+down.AnalyticTxBytes, senders*perFlowWire; got != uint64(want) {
 		t.Fatalf("downlink delivered %d wire bytes, want %d", got, want)
 	}
 }

@@ -138,9 +138,6 @@ type Link struct {
 	nUn   int
 }
 
-// Hot reports whether the link is currently demoted to packet fidelity.
-func (l *Link) Hot() bool { return l.hot }
-
 // util returns fluid utilization: analytic shares plus packet reservations
 // over capacity.
 func (l *Link) util() float64 {
@@ -284,7 +281,7 @@ func NewBarrier(cfg Config, clock func() simtime.Time, tracer *obs.Tracer) *Engi
 // port's line rate at its propagation delay, and marks the port analytic.
 func (e *Engine) AddLink(p *netsim.Port) *Link {
 	l := &Link{Port: p, Cap: p.Bandwidth, SerRate: p.Bandwidth, Delay: p.Delay, idx: len(e.links)}
-	p.SetFidelity(netsim.FidelityAnalytic)
+	p.Fidelity = netsim.FidelityAnalytic
 	e.links = append(e.links, l)
 	return l
 }
@@ -571,7 +568,7 @@ func (e *Engine) demoteLink(l *Link, t simtime.Time) {
 	}
 	l.hot = true
 	l.cold = 0
-	l.Port.SetFidelity(netsim.FidelityPacket)
+	l.Port.Fidelity = netsim.FidelityPacket
 	e.Stats.Demotions++
 	e.tracer.FidelityDemote(t, l.Port.Owner.ID(), l.Port.Index, len(l.flows), l.util())
 	for len(l.flows) > 0 {
@@ -815,14 +812,8 @@ func (e *Engine) checkLink(l *Link, now simtime.Time) {
 	if l.cold >= e.Cfg.PromoteAfter {
 		l.hot = false
 		l.cold = 0
-		p.SetFidelity(netsim.FidelityAnalytic)
+		p.Fidelity = netsim.FidelityAnalytic
 		e.Stats.Promotions++
 		e.tracer.FidelityPromote(now, p.Owner.ID(), p.Index, e.Cfg.PromoteAfter)
 	}
 }
-
-// AnalyticFlows returns the number of live analytic flows.
-func (e *Engine) AnalyticFlows() int { return len(e.flows) }
-
-// Links returns the registered links (read-only; used by adapters/tests).
-func (e *Engine) Links() []*Link { return e.links }

@@ -63,8 +63,9 @@ func TestSoloFlowEndMatchesPacketFCT(t *testing.T) {
 }
 
 // TestSoloFlowConservesPortBytes checks the per-port wire accounting: every
-// crossed port is credited exactly the flow's wire bytes, and DeliveredBytes
-// matches what the packet engine would have serialized.
+// crossed port is credited exactly the flow's wire bytes, and the delivered
+// total (TxBytesTotal + AnalyticTxBytes) matches what the packet engine would
+// have serialized.
 func TestSoloFlowConservesPortBytes(t *testing.T) {
 	size := int64(1 * simtime.MB)
 	net := netsim.New(1)
@@ -83,11 +84,11 @@ func TestSoloFlowConservesPortBytes(t *testing.T) {
 		if p.TxBytesTotal != 0 {
 			t.Fatalf("port serialized %d packet bytes in a pure analytic run", p.TxBytesTotal)
 		}
-		if got := p.DeliveredBytes(); got != uint64(wire) {
+		if got := p.TxBytesTotal + p.AnalyticTxBytes; got != uint64(wire) {
 			t.Fatalf("port delivered %d wire bytes, want %d", got, wire)
 		}
 	}
-	if fab.Hosts[1].Port.DeliveredBytes() != 0 {
+	if fab.Hosts[1].Port.TxBytesTotal+fab.Hosts[1].Port.AnalyticTxBytes != 0 {
 		t.Fatal("receiver NIC egress credited bytes it never carried")
 	}
 }
@@ -133,8 +134,8 @@ func TestSharedBottleneckDemotesBoth(t *testing.T) {
 	if e.Stats.Demotions == 0 || e.Stats.PacketFlows != 2 {
 		t.Fatalf("stats %+v", e.Stats)
 	}
-	if e.AnalyticFlows() != 0 {
-		t.Fatalf("%d flows still analytic past a shared bottleneck", e.AnalyticFlows())
+	if len(e.flows) != 0 {
+		t.Fatalf("%d flows still analytic past a shared bottleneck", len(e.flows))
 	}
 }
 
@@ -176,22 +177,22 @@ func TestPauseTriggerAndPromotionHysteresis(t *testing.T) {
 	l := m.up[0]
 	l.Port.PauseRxEvents++ // simulated PFC pause observed since last window
 	e.Tick(simtime.Time(simtime.Microsecond))
-	if !l.Hot() || e.Stats.Demotions != 1 {
-		t.Fatalf("pause did not demote: hot=%v stats=%+v", l.Hot(), e.Stats)
+	if !l.hot || e.Stats.Demotions != 1 {
+		t.Fatalf("pause did not demote: hot=%v stats=%+v", l.hot, e.Stats)
 	}
-	if l.Port.Fidelity() != netsim.FidelityPacket {
+	if l.Port.Fidelity != netsim.FidelityPacket {
 		t.Fatal("port fidelity not marked packet after demotion")
 	}
 	for i := 0; i < e.Cfg.PromoteAfter; i++ {
-		if !l.Hot() {
+		if !l.hot {
 			t.Fatalf("promoted after only %d quiet windows", i)
 		}
 		e.Tick(simtime.Time(simtime.Duration(i+2) * simtime.Microsecond))
 	}
-	if l.Hot() || e.Stats.Promotions != 1 {
-		t.Fatalf("hysteresis failed: hot=%v stats=%+v", l.Hot(), e.Stats)
+	if l.hot || e.Stats.Promotions != 1 {
+		t.Fatalf("hysteresis failed: hot=%v stats=%+v", l.hot, e.Stats)
 	}
-	if l.Port.Fidelity() != netsim.FidelityAnalytic {
+	if l.Port.Fidelity != netsim.FidelityAnalytic {
 		t.Fatal("port fidelity not restored after promotion")
 	}
 }
@@ -230,7 +231,7 @@ func TestEcmpGroupFaultDemotesGroup(t *testing.T) {
 		t.Fatalf("conservation broken across fault demotion: %d + %d", f.AnalyticPayload(), handed)
 	}
 	for _, ul := range m.uplinks[0] {
-		if !ul.Hot() {
+		if !ul.hot {
 			t.Fatal("entire ECMP group should be demoted on a member fault")
 		}
 	}

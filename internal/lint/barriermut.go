@@ -44,8 +44,13 @@ func (Barriermut) Rev() int { return 1 }
 
 // Check implements Checker.
 func (b Barriermut) Check(prog *Program, cfg *Config) []Diagnostic {
+	names := programNames(prog)
+	diags := unresolved(prog, "barriermut", "BarrierOwnedTypes", cfg.BarrierOwnedTypes, names.types)
+	diags = append(diags, unresolved(prog, "barriermut", "BarrierSlotFields", cfg.BarrierSlotFields, names.fields)...)
+	diags = append(diags, unresolved(prog, "barriermut", "BarrierRoots", cfg.BarrierRoots, names.funcs)...)
+	diags = append(diags, unresolved(prog, "barriermut", "BarrierMutMethods", cfg.BarrierMutMethods, names.funcs)...)
 	if len(cfg.BarrierOwnedTypes) == 0 {
-		return nil
+		return diags
 	}
 	owned := stringSet(cfg.BarrierOwnedTypes)
 	slots := stringSet(cfg.BarrierSlotFields)
@@ -126,7 +131,6 @@ func (b Barriermut) Check(prog *Program, cfg *Config) []Diagnostic {
 		return ""
 	}
 
-	var diags []Diagnostic
 	for _, n := range order {
 		info := n.pkg.Info
 		file := prog.Fset.Position(n.decl.Pos()).Filename

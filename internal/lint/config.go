@@ -1,5 +1,11 @@
 package lint
 
+import (
+	"fmt"
+	"go/types"
+	"strings"
+)
+
 // Config scopes the checkers to the packages and types they guard. The
 // zero value checks nothing; DefaultConfig returns the repository's real
 // invariant surface. Fixture tests construct narrow configs pointing at
@@ -95,6 +101,67 @@ func (c *Config) allowed(check, pkg, file, fn string) bool {
 	return false
 }
 
+// configNames is the universe Config entries may name: every declared
+// function and method ("importpath.Func", "importpath.Type.Method"), every
+// package-level type ("importpath.Type") and every field of a package-level
+// struct type ("importpath.Type.Field") in the loaded program.
+type configNames struct {
+	funcs, types, fields map[string]bool
+}
+
+func programNames(prog *Program) configNames {
+	n := configNames{funcs: map[string]bool{}, types: map[string]bool{}, fields: map[string]bool{}}
+	for _, fn := range declFuncs(prog) {
+		n.funcs[funcMatchKey(fn.fn)] = true
+	}
+	for _, pkg := range prog.Pkgs {
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			key := typeKey(pkg.ImportPath, name)
+			n.types[key] = true
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					n.fields[key+"."+st.Field(i).Name()] = true
+				}
+			}
+		}
+	}
+	return n
+}
+
+// unresolved reports each entry of the Config field named field whose
+// package is loaded but which names nothing in known: a stale entry would
+// otherwise silently guard nothing. Entries for packages outside the
+// loaded program (a subset run) cannot be judged and are skipped. The
+// diagnostic sits on the package clause of the entry's package.
+func unresolved(prog *Program, check, field string, entries []string, known map[string]bool) []Diagnostic {
+	var diags []Diagnostic
+	for _, e := range entries {
+		if known[e] {
+			continue
+		}
+		var home *Package
+		for _, pkg := range prog.Pkgs {
+			if strings.HasPrefix(e, pkg.ImportPath+".") && (home == nil || len(pkg.ImportPath) > len(home.ImportPath)) {
+				home = pkg
+			}
+		}
+		if home == nil {
+			continue
+		}
+		diags = append(diags, Diagnostic{
+			Pos:   prog.Fset.Position(home.Files[0].Name.Pos()),
+			Check: check,
+			Msg:   fmt.Sprintf("Config.%s entry %s names nothing in package %s: correct or delete the entry", field, e, home.Types.Name()),
+		})
+	}
+	return diags
+}
+
 func stringSet(ss []string) map[string]bool {
 	m := make(map[string]bool, len(ss))
 	for _, s := range ss {
@@ -159,7 +226,6 @@ func DefaultConfig() *Config {
 			Module + "/internal/dcqcn.Receiver.handle",
 			Module + "/internal/dcqcn.Flow.trySend",
 			Module + "/internal/stats.QueueMonitor.tick",
-			Module + "/internal/stats.ThroughputMeter.tick",
 			Module + "/internal/eventq.Queue.Step",
 			// Hybrid fast-path analytic advance: the window tick and
 			// exact-time completion callbacks (queue mode), the barrier
@@ -202,7 +268,6 @@ func DefaultConfig() *Config {
 		BarrierRoots: []string{
 			Module + "/internal/psim.Build",
 			Module + "/internal/psim.PlanFromTrace",
-			Module + "/internal/psim.RecordPlan",
 			Module + "/internal/hybrid.New",
 			Module + "/internal/hybrid.NewBarrier",
 			Module + "/internal/psim.Engine.Run",

@@ -50,7 +50,9 @@ var sprintfFuncs = map[string]bool{
 
 // Check implements Checker.
 func (h Hotpath) Check(prog *Program, cfg *Config) []Diagnostic {
-	var diags []Diagnostic
+	names := programNames(prog)
+	diags := unresolved(prog, "hotpath", "HotRoots", cfg.HotRoots, names.funcs)
+	diags = append(diags, unresolved(prog, "hotpath", "QueueTypes", cfg.QueueTypes, names.types)...)
 	diags = append(diags, h.checkFuncLits(prog, cfg)...)
 	diags = append(diags, h.checkReachable(prog, cfg)...)
 	return diags

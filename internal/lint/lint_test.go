@@ -50,6 +50,8 @@ func fixtureCases() []fixtureCase {
 			BarrierMutMethods: []string{ipath + ".Coord.Stop"},
 		}
 	}
+	// deadcode needs no configuration: its roots are the package mains.
+	deadcode := func(string) *lint.Config { return &lint.Config{} }
 	return []fixtureCase{
 		{"determinism_bad", deterministic},
 		{"determinism_ok", func(ipath string) *lint.Config {
@@ -72,6 +74,20 @@ func fixtureCases() []fixtureCase {
 		{"barriermut_ok", barrier},
 		{"ignore_bad", deterministic},
 		{"ignore_ok", deterministic},
+		{"deadcode_bad", deadcode},
+		{"deadcode_ok", deadcode},
+		{"configref_bad", func(ipath string) *lint.Config {
+			const elsewhere = "acclint/fixture/elsewhere"
+			return &lint.Config{
+				HotRoots:          []string{ipath + ".Deliver", ipath + ".Queue.tick", elsewhere + ".Deliver"},
+				QueueTypes:        []string{ipath + ".Queue", ipath + ".Sched"},
+				TracerTypes:       []string{ipath + ".Tracer", ipath + ".Tracker"},
+				BarrierOwnedTypes: []string{ipath + ".Coord", ipath + ".Plan"},
+				BarrierSlotFields: []string{ipath + ".Coord.slots", ipath + ".Coord.ends"},
+				BarrierRoots:      []string{ipath + ".Run", ipath + ".RecordPlan"},
+				BarrierMutMethods: []string{ipath + ".Coord.Stop", ipath + ".Coord.Halt"},
+			}
+		}},
 	}
 }
 

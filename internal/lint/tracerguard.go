@@ -31,7 +31,7 @@ func (TracerGuard) Rev() int { return 1 }
 
 // Check implements Checker.
 func (TracerGuard) Check(prog *Program, cfg *Config) []Diagnostic {
-	var diags []Diagnostic
+	diags := unresolved(prog, "tracerguard", "TracerTypes", cfg.TracerTypes, programNames(prog).types)
 	tracerTypes := stringSet(cfg.TracerTypes)
 	for _, pkg := range prog.Pkgs {
 		for _, file := range pkg.Files {

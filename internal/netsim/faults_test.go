@@ -54,8 +54,8 @@ func TestSetDownBlackholesSerialization(t *testing.T) {
 	if egress.TxBytesTotal != 0 {
 		t.Fatal("blackholed packet counted as transmitted")
 	}
-	if sw.BufferUsed() != 0 {
-		t.Fatalf("switch buffer leaked %d bytes after blackhole", sw.BufferUsed())
+	if sw.totalUsed != 0 {
+		t.Fatalf("switch buffer leaked %d bytes after blackhole", sw.totalUsed)
 	}
 }
 

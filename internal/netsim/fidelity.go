@@ -26,21 +26,12 @@ func (f Fidelity) String() string {
 	return "packet"
 }
 
-// SetFidelity records the simulation mode the hybrid engine currently
-// advances this port's traffic under. Pure bookkeeping: packet forwarding
-// through the port behaves identically in either mode.
-func (p *Port) SetFidelity(f Fidelity) { p.fidelity = f }
-
-// Fidelity returns the port's current simulation mode (FidelityPacket
-// unless a hybrid engine marked it analytic).
-func (p *Port) Fidelity() Fidelity { return p.fidelity }
-
 // CreditAnalyticTx accounts wire bytes that a hybrid engine advanced across
 // this port in closed form, attributed to the egress queue serving prio (if
 // any). Together with the packet-level counters this keeps per-port byte
 // conservation exact across fidelity transitions:
 //
-//	DeliveredBytes() == TxBytesTotal + AnalyticTxBytes
+//	TxBytesTotal + AnalyticTxBytes
 //
 // is the total traffic the port carried regardless of how much of it was
 // ever materialized as packets.
@@ -50,8 +41,3 @@ func (p *Port) CreditAnalyticTx(prio int, wireBytes uint64) {
 		q.AnalyticTxBytes += wireBytes
 	}
 }
-
-// DeliveredBytes returns every byte the port carried: packet-level
-// serialization plus closed-form analytic credit. With no hybrid engine
-// attached this is exactly TxBytesTotal.
-func (p *Port) DeliveredBytes() uint64 { return p.TxBytesTotal + p.AnalyticTxBytes }

@@ -39,12 +39,6 @@ type Host struct {
 	PauseHooks []func(prio int, paused bool)
 }
 
-// NewHost creates a host and registers it with the network at the next free
-// id.
-func NewHost(net *Network, name string) *Host {
-	return NewHostAt(net, name, len(net.nodes))
-}
-
 // NewHostAt creates a host registered at an explicit node id, for sharded
 // builds that must reproduce the sequential build's id assignment (node ids
 // double as routing addresses).

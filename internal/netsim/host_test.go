@@ -21,8 +21,8 @@ func TestPauseHooksFire(t *testing.T) {
 	s2 := sw.AddPort(1*simtime.Gbps, 100, nil)
 	Connect(p1, s1)
 	Connect(p2, s2)
-	sw.SetRoute(h1.ID(), s1)
-	sw.SetRoute(h2.ID(), s2)
+	sw.Routes[h1.ID()] = []*Port{s1}
+	sw.Routes[h2.ID()] = []*Port{s2}
 	h2.Register(1, EndpointFunc(func(*Packet) {}))
 
 	var events []bool
@@ -72,7 +72,7 @@ func TestNodeRegistry(t *testing.T) {
 	net := New(44)
 	h := NewHost(net, "a")
 	sw := NewSwitch(net, DefaultSwitchConfig("b"))
-	if net.Node(h.ID()) != Node(h) || net.Node(sw.ID()) != Node(sw) {
+	if net.Nodes()[h.ID()] != Node(h) || net.Nodes()[sw.ID()] != Node(sw) {
 		t.Fatal("node registry lookup broken")
 	}
 	if len(net.Nodes()) != 2 {
@@ -111,7 +111,7 @@ func TestSwitchConfigAccessors(t *testing.T) {
 	cfg.ECNPrio = []int{3}
 	sw := NewSwitch(net, cfg)
 	p := sw.AddPort(simtime.Gbps, 0, []int{1, 0, 0, 1})
-	if sw.Config().Name != "x" {
+	if sw.cfg.Name != "x" {
 		t.Fatal("config accessor wrong")
 	}
 	// Only prio 3 should be ECN-enabled.

@@ -24,8 +24,8 @@ func TestBufferAccountingDrainsToZero(t *testing.T) {
 		s2 := sw.AddPort(5*simtime.Gbps, 100, nil)
 		Connect(p1, s1)
 		Connect(p2, s2)
-		sw.SetRoute(h1.ID(), s1)
-		sw.SetRoute(h2.ID(), s2)
+		sw.Routes[h1.ID()] = []*Port{s1}
+		sw.Routes[h2.ID()] = []*Port{s2}
 		h2.Register(1, EndpointFunc(func(p *Packet) {}))
 		rng := rand.New(rand.NewSource(seed))
 		for _, b := range burstsRaw {
@@ -37,7 +37,7 @@ func TestBufferAccountingDrainsToZero(t *testing.T) {
 			}
 		}
 		net.Run()
-		return sw.BufferUsed() == 0
+		return sw.totalUsed == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -60,8 +60,8 @@ func TestPFCAlwaysResumes(t *testing.T) {
 	s2 := sw.AddPort(1*simtime.Gbps, 100, nil)
 	Connect(p1, s1)
 	Connect(p2, s2)
-	sw.SetRoute(h1.ID(), s1)
-	sw.SetRoute(h2.ID(), s2)
+	sw.Routes[h1.ID()] = []*Port{s1}
+	sw.Routes[h2.ID()] = []*Port{s2}
 	h2.Register(1, EndpointFunc(func(p *Packet) {}))
 	for i := 0; i < 300; i++ {
 		h1.Send(&Packet{Kind: KindData, Flow: 1, Src: h1.ID(), Dst: h2.ID(), Size: 1048, ECT: true})
@@ -94,8 +94,8 @@ func TestConservationOfBytes(t *testing.T) {
 		s2 := sw.AddPort(1*simtime.Gbps, 0, nil)
 		Connect(p1, s1)
 		Connect(p2, s2)
-		sw.SetRoute(h1.ID(), s1)
-		sw.SetRoute(h2.ID(), s2)
+		sw.Routes[h1.ID()] = []*Port{s1}
+		sw.Routes[h2.ID()] = []*Port{s2}
 		var delivered int
 		h2.Register(1, EndpointFunc(func(p *Packet) { delivered++ }))
 		total := int(n) + 1

@@ -22,8 +22,8 @@ func rig(t *testing.T, weights []int) (*Network, *Host, *Host, *Switch) {
 	s2 := sw.AddPort(bw, d, weights)
 	Connect(p1, s1)
 	Connect(p2, s2)
-	sw.SetRoute(h1.ID(), s1)
-	sw.SetRoute(h2.ID(), s2)
+	sw.Routes[h1.ID()] = []*Port{s1}
+	sw.Routes[h2.ID()] = []*Port{s2}
 	return net, h1, h2, sw
 }
 
@@ -129,8 +129,8 @@ func TestBufferOverflowDrops(t *testing.T) {
 	s2 := sw.AddPort(1*simtime.Gbps, 0, nil)
 	Connect(p1, s1)
 	Connect(p2, s2)
-	sw.SetRoute(h1.ID(), s1)
-	sw.SetRoute(h2.ID(), s2)
+	sw.Routes[h1.ID()] = []*Port{s1}
+	sw.Routes[h2.ID()] = []*Port{s2}
 	sw.SetRED(red.Config{Kmin: 1 << 30, Kmax: 1 << 30, Pmax: 1}) // no marking
 	delivered := 0
 	h2.Register(1, EndpointFunc(func(p *Packet) { delivered++ }))
@@ -165,8 +165,8 @@ func TestPFCPausesSender(t *testing.T) {
 	s2 := sw.AddPort(5*simtime.Gbps, 600, nil)
 	Connect(p1, s1)
 	Connect(p2, s2)
-	sw.SetRoute(h1.ID(), s1)
-	sw.SetRoute(h2.ID(), s2)
+	sw.Routes[h1.ID()] = []*Port{s1}
+	sw.Routes[h2.ID()] = []*Port{s2}
 	delivered := 0
 	h2.Register(1, EndpointFunc(func(p *Packet) { delivered++ }))
 	var pauses int
@@ -211,8 +211,8 @@ func TestDWRRWeightedSharing(t *testing.T) {
 	s2 := sw.AddPort(bw, 0, weights)
 	Connect(p1, s1)
 	Connect(p2, s2)
-	sw.SetRoute(h1.ID(), s1)
-	sw.SetRoute(h2.ID(), s2)
+	sw.Routes[h1.ID()] = []*Port{s1}
+	sw.Routes[h2.ID()] = []*Port{s2}
 	sw.SetRED(red.Config{Kmin: 1 << 30, Kmax: 1 << 30, Pmax: 1})
 	h2.Register(1, EndpointFunc(func(p *Packet) {}))
 	h2.Register(2, EndpointFunc(func(p *Packet) {}))

@@ -78,14 +78,6 @@ func New(seed int64) *Network {
 // Now returns the current virtual time.
 func (n *Network) Now() simtime.Time { return n.Q.Now() }
 
-// Seed returns the seed the network was created with.
-func (n *Network) Seed() int64 { return n.seed }
-
-// register adds a node at the next free id and returns it.
-func (n *Network) register(node Node) int {
-	return n.registerAt(node, len(n.nodes))
-}
-
 // registerAt adds a node at an explicit id, growing the registry as needed.
 // Sharded builds (internal/psim) use explicit ids so a node carries the same
 // id — and therefore the same routing address and per-node RNG stream — in
@@ -117,10 +109,6 @@ func (n *Network) nodeRng(id int) *rand.Rand {
 	}
 	return rand.New(src)
 }
-
-// Node returns the node with the given id (nil for an unoccupied id in a
-// sparse shard-local registry).
-func (n *Network) Node(id int) Node { return n.nodes[id] }
 
 // Nodes returns all registered nodes. Shard-local networks are sparse: ids
 // owned by other shards hold nil.
@@ -171,9 +159,6 @@ func ConnectRemote(p *Port, re RemoteEnd, rxNode, rxPort int) {
 	p.remote = re
 	p.rxStream = arrivalStream(rxNode, rxPort)
 }
-
-// Run executes events until the queue drains.
-func (n *Network) Run() { n.Q.Run() }
 
 // RunUntil executes events up to the deadline (in SyncWindow-sized barrier
 // windows when the windowed driver is enabled; see SyncWindow).

@@ -57,8 +57,8 @@ func TestDropReasonSplitOverflow(t *testing.T) {
 	s2 := sw.AddPort(simtime.Gbps, 600, nil) // 25:1 slowdown piles packets up
 	Connect(p1, s1)
 	Connect(p2, s2)
-	sw.SetRoute(h1.ID(), s1)
-	sw.SetRoute(h2.ID(), s2)
+	sw.Routes[h1.ID()] = []*Port{s1}
+	sw.Routes[h2.ID()] = []*Port{s2}
 	h2.Register(1, EndpointFunc(func(*Packet) {}))
 	for i := 0; i < 5; i++ {
 		h1.Send(dataPkt(h1, h2, 1, 1048))

@@ -177,8 +177,9 @@ type Port struct {
 	arriveFn       func(any)
 	remoteArriveFn func(any)
 
-	// fidelity is the hybrid-engine bookkeeping mode; see SetFidelity.
-	fidelity Fidelity
+	// Fidelity is the hybrid-engine bookkeeping mode (see the Fidelity
+	// type); only a hybrid engine changes it.
+	Fidelity Fidelity
 
 	// Cumulative counters.
 	TxBytesTotal    uint64
@@ -252,10 +253,6 @@ func (p *Port) Queue(prio int) *EgressQueue {
 	}
 	return nil
 }
-
-// Paused reports whether the given priority is PFC-paused at this port's
-// transmitter.
-func (p *Port) Paused(prio int) bool { return p.paused[prio] }
 
 // IsDown reports whether the port's link is administratively down.
 func (p *Port) IsDown() bool { return p.down }
@@ -379,16 +376,6 @@ const (
 	WaiterDCQCN              // *dcqcn.Flow
 	WaiterTCP                // *tcp.Flow
 )
-
-// WaiterFunc adapts a bare function to Waiter for tests and tools that
-// never snapshot; it serializes as WaiterNone and panics on restore.
-type WaiterFunc func()
-
-// NICReady implements Waiter.
-func (f WaiterFunc) NICReady() { f() }
-
-// WaiterID implements Waiter.
-func (f WaiterFunc) WaiterID() (uint8, FlowID) { return WaiterNone, 0 }
 
 // CanInject reports whether a sender may enqueue another packet at priority
 // prio. Admission is FIFO-fair: while other senders are parked in the

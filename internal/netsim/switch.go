@@ -62,9 +62,10 @@ type Switch struct {
 	//acclint:ignore snapcover construction config
 	cfg SwitchConfig
 
-	// routes maps destination host id -> candidate egress ports (ECMP set).
+	// Routes maps destination host id -> candidate egress ports (the ECMP
+	// set), filled by the topology builders.
 	//acclint:ignore snapcover ECMP routing wiring, rebuilt by topology construction
-	routes map[int][]*Port
+	Routes map[int][]*Port
 
 	// Shared-buffer accounting for PFC: bytes resident per (ingress port,
 	// priority), plus the total.
@@ -86,12 +87,6 @@ type Switch struct {
 	RouteBlackholes uint64
 }
 
-// NewSwitch creates a switch node and registers it with the network at the
-// next free id.
-func NewSwitch(net *Network, cfg SwitchConfig) *Switch {
-	return NewSwitchAt(net, cfg, len(net.nodes))
-}
-
 // NewSwitchAt creates a switch registered at an explicit node id, for
 // sharded builds that must reproduce the sequential build's id assignment.
 func NewSwitchAt(net *Network, cfg SwitchConfig, id int) *Switch {
@@ -102,7 +97,7 @@ func NewSwitchAt(net *Network, cfg SwitchConfig, id int) *Switch {
 		name:   cfg.Name,
 		net:    net,
 		cfg:    cfg,
-		routes: make(map[int][]*Port),
+		Routes: make(map[int][]*Port),
 	}
 	s.id = net.registerAt(s, id)
 	s.rng = net.nodeRng(s.id)
@@ -114,12 +109,6 @@ func (s *Switch) ID() int { return s.id }
 
 // Name returns the configured switch name.
 func (s *Switch) Name() string { return s.name }
-
-// Config returns the switch configuration.
-func (s *Switch) Config() SwitchConfig { return s.cfg }
-
-// BufferUsed returns the occupied shared-buffer bytes.
-func (s *Switch) BufferUsed() int { return s.totalUsed }
 
 // ecnEnabled reports whether priority prio runs ECN at this switch.
 func (s *Switch) ecnEnabled(prio int) bool {
@@ -149,14 +138,6 @@ func (s *Switch) AddPort(bw simtime.Rate, delay simtime.Duration, weights []int)
 	s.pauseSent = append(s.pauseSent, make([]bool, NumPrio))
 	return p
 }
-
-// SetRoute sets the ECMP candidate ports toward destination host dst.
-func (s *Switch) SetRoute(dst int, ports ...*Port) {
-	s.routes[dst] = ports
-}
-
-// Routes returns the routing table (for topology validation in tests).
-func (s *Switch) Routes() map[int][]*Port { return s.routes }
 
 // SetRED applies an ECN template to every ECN-enabled queue of every port.
 func (s *Switch) SetRED(c red.Config) {
@@ -228,7 +209,7 @@ func (s *Switch) Receive(pkt *Packet, in *Port) {
 		return
 	}
 
-	ports, ok := s.routes[pkt.Dst]
+	ports, ok := s.Routes[pkt.Dst]
 	if !ok || len(ports) == 0 {
 		//acclint:ignore hotpath@1 a route miss is a fatal topology bug; the Sprintf runs only on the panic path
 		panic(fmt.Sprintf("netsim: switch %s has no route to host %d", s.name, pkt.Dst))

@@ -169,9 +169,6 @@ func NewTracer(ringCap int) *Tracer {
 	return &Tracer{ring: make([]Record, 0, ringCap)}
 }
 
-// Enabled reports whether tracing is on (the receiver is non-nil).
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // SetShardMap installs the node→shard labeling for a sharded run (psim).
 // The map must be immutable for the tracer's lifetime — shard ownership is
 // fixed at partition time — and must be installed before the run starts;
@@ -326,17 +323,6 @@ func (t *Tracer) LinkState(now simtime.Time, node, port int, down bool) {
 		v = 1
 	}
 	t.emit(Record{Time: now, Kind: KindLink, Node: int32(node), Port: int32(port), Prio: -1, V1: v})
-}
-
-// Emitted returns the total number of records emitted, including those
-// already overwritten in the ring.
-func (t *Tracer) Emitted() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.next
 }
 
 // Len returns the number of records currently resident in the ring.

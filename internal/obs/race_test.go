@@ -18,9 +18,9 @@ import (
 func driveNetwork(tr *obs.Tracer, seed int64, packets int) {
 	net := netsim.New(seed)
 	net.Tracer = tr
-	h1 := netsim.NewHost(net, "h1")
-	h2 := netsim.NewHost(net, "h2")
-	sw := netsim.NewSwitch(net, netsim.DefaultSwitchConfig("sw"))
+	h1 := netsim.NewHostAt(net, "h1", len(net.Nodes()))
+	h2 := netsim.NewHostAt(net, "h2", len(net.Nodes()))
+	sw := netsim.NewSwitchAt(net, netsim.DefaultSwitchConfig("sw"), len(net.Nodes()))
 	bw := 25 * simtime.Gbps
 	d := simtime.Duration(600)
 	p1 := h1.AttachPort(bw, d, nil)
@@ -29,8 +29,8 @@ func driveNetwork(tr *obs.Tracer, seed int64, packets int) {
 	s2 := sw.AddPort(bw, d, nil)
 	netsim.Connect(p1, s1)
 	netsim.Connect(p2, s2)
-	sw.SetRoute(h1.ID(), s1)
-	sw.SetRoute(h2.ID(), s2)
+	sw.Routes[h1.ID()] = []*netsim.Port{s1}
+	sw.Routes[h2.ID()] = []*netsim.Port{s2}
 	sw.SetRED(red.Config{Kmin: 0, Kmax: 0, Pmax: 1}) // mark ECT, drop the rest
 	h2.Register(1, netsim.EndpointFunc(func(*netsim.Packet) {}))
 	for i := 0; i < packets; i++ {
@@ -40,7 +40,8 @@ func driveNetwork(tr *obs.Tracer, seed int64, packets int) {
 		}
 		h1.Send(p)
 	}
-	net.Run()
+	for net.Q.Step() {
+	}
 }
 
 // TestTracerSharedRingRace hammers one Tracer ring from several

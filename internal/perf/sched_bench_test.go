@@ -42,7 +42,8 @@ func BenchmarkSchedPending(b *testing.B) {
 				q.CallAfter(simtime.Duration(rng.Intn(horizon)), fn, nil)
 			}
 			b.StopTimer()
-			q.Run()
+			for q.Step() {
+			}
 		})
 	}
 }
@@ -68,7 +69,8 @@ func BenchmarkSchedCancelHeavy(b *testing.B) {
 			q.RunUntil(q.Now().Add(2000))
 		}
 	}
-	q.Run()
+	for q.Step() {
+	}
 }
 
 // BenchmarkSchedResetHeavy is the re-arm-dominated mix: a fleet of timers
@@ -95,5 +97,6 @@ func BenchmarkSchedResetHeavy(b *testing.B) {
 			q.RunUntil(q.Now().Add(100))
 		}
 	}
-	q.Run()
+	for q.Step() {
+	}
 }

@@ -53,7 +53,7 @@ func hybridRun(t *testing.T, shards int, horizon simtime.Time) (*Applied, *hybri
 	snap := func(rows [][]*netsim.Port) {
 		for _, row := range rows {
 			for _, p := range row {
-				counters = append(counters, p.DeliveredBytes(), p.AnalyticTxBytes, uint64(p.Fidelity()))
+				counters = append(counters, p.TxBytesTotal+p.AnalyticTxBytes, p.AnalyticTxBytes, uint64(p.Fidelity))
 			}
 		}
 	}

@@ -39,7 +39,7 @@ func TestShardParity(t *testing.T) {
 					continue
 				}
 				total++
-				seq := seqNet.Node(n.ID())
+				seq := seqNet.Nodes()[n.ID()]
 				if seq == nil || seq.Name() != n.Name() {
 					t.Fatalf("K=%d: node %d %q has no sequential twin", k, n.ID(), n.Name())
 				}
@@ -56,11 +56,11 @@ func TestShardParity(t *testing.T) {
 			if sw.ID() != seq.ID() || len(sw.Ports) != len(seq.Ports) {
 				t.Fatalf("K=%d: switch %q geometry mismatch", k, sw.Name())
 			}
-			if len(sw.Routes()) != len(seq.Routes()) {
-				t.Fatalf("K=%d: switch %q has %d routes, want %d", k, sw.Name(), len(sw.Routes()), len(seq.Routes()))
+			if len(sw.Routes) != len(seq.Routes) {
+				t.Fatalf("K=%d: switch %q has %d routes, want %d", k, sw.Name(), len(sw.Routes), len(seq.Routes))
 			}
-			for dst, ports := range sw.Routes() {
-				want := seq.Routes()[dst]
+			for dst, ports := range sw.Routes {
+				want := seq.Routes[dst]
 				if len(ports) != len(want) {
 					t.Fatalf("K=%d: switch %q route to %d: %d candidates, want %d", k, sw.Name(), dst, len(ports), len(want))
 				}

@@ -32,9 +32,6 @@ type LinkRef struct {
 	A, B int
 }
 
-// HostLeafLink addresses the link between leaf l and its i'th host.
-func HostLeafLink(l, i int) LinkRef { return LinkRef{Role: faults.HostLeaf, A: l, B: i} }
-
 // LeafSpineLink addresses the link between leaf l and spine s.
 func LeafSpineLink(l, s int) LinkRef { return LinkRef{Role: faults.LeafSpine, A: l, B: s} }
 
@@ -179,14 +176,6 @@ func (a *Applied) RestorePending() {
 			q.RestoreEvent(ev)
 		}
 	}
-}
-
-// FCT returns flow i's completion time, or (0, false) while incomplete.
-func (a *Applied) FCT(i int) (simtime.Duration, bool) {
-	if a.End[i] == 0 {
-		return 0, false
-	}
-	return a.End[i].Sub(a.Plan.Flows[i].Start), true
 }
 
 // DoneCount returns how many flows have completed.

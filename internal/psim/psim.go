@@ -226,12 +226,12 @@ func Build(cfg Config) *Engine {
 				continue
 			}
 			for _, h := range e.Hosts[dl] {
-				leaf.SetRoute(h.ID(), e.LeafUp[l]...)
+				leaf.Routes[h.ID()] = e.LeafUp[l]
 			}
 		}
 		for s, spine := range e.Spines {
 			for _, h := range e.Hosts[l] {
-				spine.SetRoute(h.ID(), e.SpineDown[s][l])
+				spine.Routes[h.ID()] = []*netsim.Port{e.SpineDown[s][l]}
 			}
 		}
 	}
@@ -292,22 +292,4 @@ func (e *Engine) Processed() uint64 {
 		sum += sh.Net.Q.Processed()
 	}
 	return sum
-}
-
-// Drained reports whether every shard queue is empty of live events and
-// every outbox has been exchanged.
-func (e *Engine) Drained() bool {
-	for _, sh := range e.Shards {
-		if sh.Net.Q.Pending() > 0 {
-			return false
-		}
-	}
-	for _, row := range e.outbox {
-		for _, box := range row {
-			if len(box) > 0 {
-				return false
-			}
-		}
-	}
-	return true
 }

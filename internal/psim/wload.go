@@ -31,12 +31,3 @@ func PlanFromTrace(t *workload.Trace, hostBW simtime.Rate) *Plan {
 	}
 	return p
 }
-
-// RecordPlan wires a plan recorder for the trace onto the plan: every flow
-// start is observed at its actual launch instant, and Trace() after the run
-// returns the as-executed trace (see workload.Recorder).
-func RecordPlan(p *Plan, source *workload.Trace) *workload.Recorder {
-	rec := workload.NewPlanRecorder(source)
-	p.OnStart = rec.ObserveStart
-	return rec
-}

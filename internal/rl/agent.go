@@ -58,9 +58,6 @@ func (r *Replay) Sample(rng *rand.Rand, n int) []Transition {
 	return out
 }
 
-// At returns the i-th stored transition (test/exchange use).
-func (r *Replay) At(i int) Transition { return r.buf[i] }
-
 // AgentConfig parameterizes a DQN/DDQN agent.
 type AgentConfig struct {
 	StateDim   int
@@ -140,11 +137,6 @@ func (a *Agent) Act(state []float64, rng *rand.Rand) int {
 	if rng.Float64() < a.eps {
 		return rng.Intn(a.Cfg.NumActions)
 	}
-	return Argmax(a.Eval.Forward(state))
-}
-
-// ActGreedy selects the best action without exploring or decaying.
-func (a *Agent) ActGreedy(state []float64) int {
 	return Argmax(a.Eval.Forward(state))
 }
 

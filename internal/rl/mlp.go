@@ -1,5 +1,5 @@
 // Package rl is the deep-reinforcement-learning substrate ACC builds on: a
-// feed-forward neural network trained by backpropagation (SGD or Adam), a
+// feed-forward neural network trained by backpropagation (Adam), a
 // uniform experience-replay memory, and DQN / Double-DQN agents with
 // ε-greedy exploration and periodic target-network synchronization — the
 // algorithmic stack of the paper's §3.4.
@@ -182,6 +182,68 @@ func (m *MLP) TrainBatch(batch []Sample, lr float64) float64 {
 	gW, gB, loss := m.gradients(batch)
 	m.adamStep(gW, gB, lr)
 	return loss
+}
+
+// gradients computes mean-squared-error gradients over a batch, the input
+// to the Adam step. The returned slices are the instance's
+// gradW/gradB scratch, zeroed here and valid until the next gradients call.
+func (m *MLP) gradients(batch []Sample) ([][][]float64, [][]float64, float64) {
+	gW, gB := m.gradW, m.gradB
+	for l := range gW {
+		for o := range gW[l] {
+			clear(gW[l][o])
+		}
+		clear(gB[l])
+	}
+	var loss float64
+	inv := 1 / float64(len(batch))
+
+	for _, s := range batch {
+		acts := m.forwardTrace(s.X)
+		out := acts[len(acts)-1]
+		err := out[s.Action] - s.Target
+		loss += err * err
+
+		// delta[l] backs layer l's output deltas. The backprop below reads
+		// the layer's input activations from acts[l], which the delta write
+		// for layer l-1 would clobber if they shared storage — they don't:
+		// delta is its own scratch.
+		delta := m.delta[len(m.W)-1]
+		clear(delta)
+		delta[s.Action] = 2 * err * inv
+
+		for l := len(m.W) - 1; l >= 0; l-- {
+			in := acts[l]
+			var prev []float64
+			if l > 0 {
+				prev = m.delta[l-1]
+				clear(prev)
+			}
+			for o, row := range m.W[l] {
+				d := delta[o]
+				if d == 0 {
+					continue
+				}
+				gB[l][o] += d
+				grow := gW[l][o]
+				for i, w := range row {
+					grow[i] += d * in[i]
+					if l > 0 {
+						prev[i] += d * w
+					}
+				}
+			}
+			if l > 0 {
+				for i, a := range in {
+					if a <= 0 {
+						prev[i] = 0
+					}
+				}
+				delta = prev
+			}
+		}
+	}
+	return gW, gB, loss * inv
 }
 
 // adamStep applies the Adam update with standard hyperparameters.

@@ -70,6 +70,3 @@ func (w *World) Summarize() Summary {
 	s.Digest = h.Sum64()
 	return s
 }
-
-// Digest returns just the bit-identity digest (see Summarize).
-func (w *World) Digest() uint64 { return w.Summarize().Digest }

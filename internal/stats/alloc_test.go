@@ -10,15 +10,15 @@ import (
 )
 
 // TestAllocFreeMonitoredTick pins the sampling path at zero allocations in
-// steady state: QueueMonitor and ThroughputMeter ride the eventq typed-event
+// steady state: QueueMonitor rides the eventq typed-event
 // fast path (pre-bound method values + CallAfter), so a monitored window —
 // packet traffic plus several sampler ticks — must not allocate once the
 // Series backing arrays are warm. Callers keep them warm with Series.Reset,
 // which truncates without freeing.
 func TestAllocFreeMonitoredTick(t *testing.T) {
 	net := netsim.New(1)
-	h1 := netsim.NewHost(net, "h1")
-	h2 := netsim.NewHost(net, "h2")
+	h1 := netsim.NewHostAt(net, "h1", len(net.Nodes()))
+	h2 := netsim.NewHostAt(net, "h2", len(net.Nodes()))
 	p1 := h1.AttachPort(25*simtime.Gbps, 600*simtime.Nanosecond, nil)
 	p2 := h2.AttachPort(25*simtime.Gbps, 600*simtime.Nanosecond, nil)
 	netsim.Connect(p1, p2)
@@ -26,7 +26,6 @@ func TestAllocFreeMonitoredTick(t *testing.T) {
 
 	period := 10 * simtime.Microsecond
 	qm := MonitorQueue(net, p1.Queues[0], period)
-	tm := MeterPort(net, p1, period)
 
 	window := func() {
 		pkt := net.AllocPacket()
@@ -39,7 +38,6 @@ func TestAllocFreeMonitoredTick(t *testing.T) {
 		h1.Send(pkt)
 		net.RunFor(4 * period)
 		qm.Series.Reset()
-		tm.Series.Reset()
 	}
 	// Warm the packet pool, event free list, and Series backing arrays.
 	for i := 0; i < 8; i++ {
@@ -49,5 +47,4 @@ func TestAllocFreeMonitoredTick(t *testing.T) {
 		t.Fatalf("monitored window allocates %v/op, want 0", avg)
 	}
 	qm.Stop()
-	tm.Stop()
 }

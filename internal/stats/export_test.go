@@ -1,215 +1,28 @@
 package stats
 
-import (
-	"encoding/csv"
-	"strconv"
-	"strings"
-	"testing"
+// Helpers only the tests use.
 
-	"github.com/accnet/acc/internal/obs"
-	"github.com/accnet/acc/internal/simtime"
-)
-
-func TestWriteTraceSeriesCSV(t *testing.T) {
-	recs := []obs.Record{
-		{Time: simtime.Time(simtime.Millisecond), Kind: obs.KindWRED, Node: 3, Port: 1, Prio: 3, V1: 100 * 1024, V2: 400 * 1024, V3: 0.2},
-		{Time: simtime.Time(2 * simtime.Millisecond), Kind: obs.KindAgent, Node: 3, Port: 0, Prio: 3, V1: 0.75},
-		{Time: simtime.Time(3 * simtime.Millisecond), Kind: obs.KindWRED, Node: 3, Port: 1, Prio: 3, V1: 200 * 1024, V2: 800 * 1024, V3: 0.1},
-		{Time: simtime.Time(4 * simtime.Millisecond), Kind: obs.KindRateCut, Node: 7, Port: -1, Prio: -1, V1: 100e9, V2: 50e9},
-	}
-	var b strings.Builder
-	if err := WriteTraceSeriesCSV(&b, recs, obs.KindWRED, "kmin_bytes"); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(strings.NewReader(b.String())).ReadAll()
-	if err != nil {
-		t.Fatalf("output is not valid CSV: %v", err)
-	}
-	if len(rows) != 3 { // header + the two KindWRED records, other kinds skipped
-		t.Fatalf("got %d rows, want 3:\n%s", len(rows), b.String())
-	}
-	if want := []string{"time_s", "node", "port", "prio", "kmin_bytes"}; strings.Join(rows[0], ",") != strings.Join(want, ",") {
-		t.Fatalf("header = %v, want %v", rows[0], want)
-	}
-	if rows[1][4] != "102400" || rows[2][4] != "204800" {
-		t.Fatalf("kmin values = %q,%q", rows[1][4], rows[2][4])
-	}
-	// Rate cuts report the new rate (V2), not V1.
-	b.Reset()
-	if err := WriteTraceSeriesCSV(&b, recs, obs.KindRateCut, "rate_bps"); err != nil {
-		t.Fatal(err)
-	}
-	rows, err = csv.NewReader(strings.NewReader(b.String())).ReadAll()
-	if err != nil || len(rows) != 2 {
-		t.Fatalf("rate-cut export: rows=%d err=%v", len(rows), err)
-	}
-	if rows[1][4] != "5e+10" {
-		t.Fatalf("rate value = %q, want 5e+10 (the post-cut rate)", rows[1][4])
-	}
+// SizeRange returns flows with lo < size <= hi (hi<=0 means unbounded).
+func (c *FCTCollector) SizeRange(lo, hi int64) []FlowRecord {
+	return c.Filter(func(r FlowRecord) bool {
+		return r.Size > lo && (hi <= 0 || r.Size <= hi)
+	})
 }
 
-func TestWriteSeriesCSVRoundTrip(t *testing.T) {
-	var s Series
-	times := []simtime.Time{0, simtime.Time(simtime.Microsecond), simtime.Time(3 * simtime.Millisecond)}
-	vals := []float64{0, 12.5, 99.125}
-	for i := range times {
-		s.Add(times[i], vals[i])
-	}
-	var b strings.Builder
-	if err := WriteSeriesCSV(&b, &s, "qlen_kb"); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(strings.NewReader(b.String())).ReadAll()
-	if err != nil {
-		t.Fatalf("output is not valid CSV: %v", err)
-	}
-	if len(recs) != len(times)+1 {
-		t.Fatalf("got %d CSV rows, want header + %d", len(recs), len(times))
-	}
-	if recs[0][0] != "time_s" || recs[0][1] != "qlen_kb" {
-		t.Errorf("header = %v, want [time_s qlen_kb]", recs[0])
-	}
-	for i := range times {
-		ts, err := strconv.ParseFloat(recs[i+1][0], 64)
-		if err != nil {
-			t.Fatalf("row %d time %q: %v", i, recs[i+1][0], err)
-		}
-		if ts != times[i].Seconds() {
-			t.Errorf("row %d time = %v, want %v", i, ts, times[i].Seconds())
-		}
-		v, err := strconv.ParseFloat(recs[i+1][1], 64)
-		if err != nil {
-			t.Fatalf("row %d value %q: %v", i, recs[i+1][1], err)
-		}
-		if v != vals[i] {
-			t.Errorf("row %d value = %v, want %v", i, v, vals[i])
-		}
-	}
+// Reset drops all samples but keeps the backing arrays, so a long-lived
+// monitor can be drained window by window without reallocating.
+func (s *Series) Reset() {
+	s.Times = s.Times[:0]
+	s.Values = s.Values[:0]
 }
 
-func TestWriteFCTCSVRoundTrip(t *testing.T) {
-	in := []FlowRecord{
-		{Size: 1500, Start: 0, End: simtime.Time(480 * simtime.Nanosecond), Class: "rdma"},
-		{Size: 10 << 20, Start: simtime.Time(simtime.Millisecond), End: simtime.Time(4 * simtime.Millisecond), Class: "tcp"},
-	}
-	var b strings.Builder
-	if err := WriteFCTCSV(&b, in); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(strings.NewReader(b.String())).ReadAll()
-	if err != nil {
-		t.Fatalf("output is not valid CSV: %v", err)
-	}
-	if len(recs) != len(in)+1 {
-		t.Fatalf("got %d CSV rows, want header + %d", len(recs), len(in))
-	}
-	want := []string{"size_bytes", "start_s", "end_s", "fct_s", "class"}
-	for i, col := range want {
-		if recs[0][i] != col {
-			t.Errorf("header[%d] = %q, want %q", i, recs[0][i], col)
+// Max returns the maximum sample (0 when empty).
+func (s *Series) Max() float64 {
+	m := 0.0
+	for _, v := range s.Values {
+		if v > m {
+			m = v
 		}
 	}
-	for i, r := range in {
-		row := recs[i+1]
-		if size, _ := strconv.ParseInt(row[0], 10, 64); size != r.Size {
-			t.Errorf("row %d size = %s, want %d", i, row[0], r.Size)
-		}
-		start, _ := strconv.ParseFloat(row[1], 64)
-		end, _ := strconv.ParseFloat(row[2], 64)
-		fct, _ := strconv.ParseFloat(row[3], 64)
-		if start != r.Start.Seconds() || end != r.End.Seconds() {
-			t.Errorf("row %d times = (%v,%v), want (%v,%v)", i, start, end, r.Start.Seconds(), r.End.Seconds())
-		}
-		if fct != r.FCT().Seconds() {
-			t.Errorf("row %d fct = %v, want %v", i, fct, r.FCT().Seconds())
-		}
-		if row[4] != r.Class {
-			t.Errorf("row %d class = %q, want %q", i, row[4], r.Class)
-		}
-	}
-}
-
-func TestCDFPointsEdgeCases(t *testing.T) {
-	// Empty records: no curve.
-	if got := CDFPoints(nil, 5); got != nil {
-		t.Fatalf("CDFPoints(nil) = %v, want nil", got)
-	}
-	// Degenerate knot counts: a CDF needs at least two knots.
-	one := []FlowRecord{{Size: 1000, Start: 0, End: simtime.Time(simtime.Millisecond)}}
-	if got := CDFPoints(one, 1); got != nil {
-		t.Fatalf("CDFPoints(knots=1) = %v, want nil", got)
-	}
-	if got := CDFPoints(one, 0); got != nil {
-		t.Fatalf("CDFPoints(knots=0) = %v, want nil", got)
-	}
-	// Single flow: every knot collapses onto the one FCT, fractions still
-	// sweep 0..1.
-	pts := CDFPoints(one, 4)
-	if len(pts) != 4 {
-		t.Fatalf("single-flow CDF has %d knots, want 4", len(pts))
-	}
-	for i, pt := range pts {
-		if pt[0] != 0.001 {
-			t.Errorf("knot %d value = %v, want 0.001", i, pt[0])
-		}
-		if want := float64(i) / 3; pt[1] != want {
-			t.Errorf("knot %d fraction = %v, want %v", i, pt[1], want)
-		}
-	}
-	// More knots than records: interpolation between closest ranks keeps
-	// the curve monotone in both coordinates and anchored at min/max.
-	three := []FlowRecord{
-		{Size: 1000, End: simtime.Time(simtime.Millisecond)},
-		{Size: 1000, End: simtime.Time(2 * simtime.Millisecond)},
-		{Size: 1000, End: simtime.Time(4 * simtime.Millisecond)},
-	}
-	pts = CDFPoints(three, 9)
-	if len(pts) != 9 {
-		t.Fatalf("CDF has %d knots, want 9", len(pts))
-	}
-	if pts[0][0] != 0.001 || pts[8][0] != 0.004 {
-		t.Fatalf("CDF endpoints = %v, %v, want 0.001, 0.004", pts[0][0], pts[8][0])
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i][0] < pts[i-1][0] || pts[i][1] <= pts[i-1][1] {
-			t.Fatalf("CDF not monotone at knot %d: %v -> %v", i, pts[i-1], pts[i])
-		}
-	}
-}
-
-func TestSummaryRowShapes(t *testing.T) {
-	// Zero-value summary (no records): all numeric columns render as 0.
-	row := SummaryRow("empty", FCTSummary{})
-	if len(row) != 8 {
-		t.Fatalf("row has %d columns, want 8", len(row))
-	}
-	if row[0] != "empty" || row[1] != "0" {
-		t.Fatalf("label/count = %q/%q", row[0], row[1])
-	}
-	for i := 2; i < 8; i++ {
-		if row[i] != "0" {
-			t.Errorf("column %d = %q, want 0", i, row[i])
-		}
-	}
-	// A populated summary renders durations as seconds.
-	s := Summarize([]FlowRecord{{Size: 1000, Start: 0, End: simtime.Time(2 * simtime.Millisecond)}})
-	row = SummaryRow("one", s)
-	if row[1] != "1" {
-		t.Fatalf("count = %q, want 1", row[1])
-	}
-	for i := 2; i < 8; i++ { // single flow: avg and every percentile equal the FCT
-		if row[i] != "0.002" {
-			t.Errorf("column %d = %q, want 0.002", i, row[i])
-		}
-	}
-}
-
-func TestWriteFCTCSVEmpty(t *testing.T) {
-	var b strings.Builder
-	if err := WriteFCTCSV(&b, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.TrimSpace(b.String()); got != "size_bytes,start_s,end_s,fct_s,class" {
-		t.Errorf("empty export = %q, want header only", got)
-	}
+	return m
 }

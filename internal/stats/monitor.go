@@ -11,26 +11,15 @@ import (
 // one func(any) method value at construction and reschedules itself with
 // CallAfter, so each tick reuses a pooled Event instead of allocating a
 // closure. A long-running monitored simulation therefore stays
-// allocation-flat apart from the Series' amortized backing-array growth
-// (which callers can avoid with Series.Reset between windows).
-//
-// Each reschedule records the next tick's (time, seq) slot so a snapshot
-// can re-arm the pooled event at exactly the position it held in the
-// uninterrupted run (see snapshot.go).
+// allocation-flat apart from the Series' amortized backing-array growth.
 type QueueMonitor struct {
-	//acclint:ignore snapcover construction wiring (monitored queue)
-	Queue *netsim.EgressQueue
-	//acclint:ignore snapcover construction config (tick cadence)
+	Queue  *netsim.EgressQueue
 	Period simtime.Duration
 	Series Series
 
 	net     *netsim.Network
 	tickFn  func(any)
 	stopped bool
-
-	nextPending bool
-	nextAt      simtime.Time
-	nextSeq     uint64
 }
 
 // MonitorQueue starts sampling q every period until Stop.
@@ -42,14 +31,10 @@ func MonitorQueue(net *netsim.Network, q *netsim.EgressQueue, period simtime.Dur
 }
 
 func (m *QueueMonitor) arm() {
-	m.nextPending = true
-	m.nextAt = m.net.Now().Add(m.Period)
-	m.nextSeq = m.net.Q.Seq()
 	m.net.Q.CallAfter(m.Period, m.tickFn, nil)
 }
 
 func (m *QueueMonitor) tick(any) {
-	m.nextPending = false
 	if m.stopped {
 		return
 	}
@@ -59,53 +44,3 @@ func (m *QueueMonitor) tick(any) {
 
 // Stop ends sampling.
 func (m *QueueMonitor) Stop() { m.stopped = true }
-
-// ThroughputMeter samples a port's transmitted bytes to produce a link
-// utilization time series in [0,1]. Like QueueMonitor, it schedules its
-// ticks on the typed-event fast path with a pre-bound method value.
-type ThroughputMeter struct {
-	//acclint:ignore snapcover construction wiring (metered port)
-	Port *netsim.Port
-	//acclint:ignore snapcover construction config (tick cadence)
-	Period simtime.Duration
-	Series Series // utilization per period
-
-	net     *netsim.Network
-	tickFn  func(any)
-	lastTx  uint64
-	stopped bool
-
-	nextPending bool
-	nextAt      simtime.Time
-	nextSeq     uint64
-}
-
-// MeterPort starts sampling p's egress utilization every period.
-func MeterPort(net *netsim.Network, p *netsim.Port, period simtime.Duration) *ThroughputMeter {
-	m := &ThroughputMeter{Port: p, Period: period, net: net, lastTx: p.TxBytesTotal}
-	m.tickFn = m.tick
-	m.arm()
-	return m
-}
-
-func (m *ThroughputMeter) arm() {
-	m.nextPending = true
-	m.nextAt = m.net.Now().Add(m.Period)
-	m.nextSeq = m.net.Q.Seq()
-	m.net.Q.CallAfter(m.Period, m.tickFn, nil)
-}
-
-func (m *ThroughputMeter) tick(any) {
-	m.nextPending = false
-	if m.stopped {
-		return
-	}
-	cur := m.Port.TxBytesTotal
-	util := m.Port.Utilization(cur-m.lastTx, m.Period)
-	m.lastTx = cur
-	m.Series.Add(m.net.Now(), util)
-	m.arm()
-}
-
-// Stop ends sampling.
-func (m *ThroughputMeter) Stop() { m.stopped = true }

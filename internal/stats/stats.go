@@ -62,13 +62,6 @@ func (c *FCTCollector) Elephants() []FlowRecord {
 	return c.Filter(func(r FlowRecord) bool { return r.Size >= ElephantMin })
 }
 
-// SizeRange returns flows with lo < size <= hi (hi<=0 means unbounded).
-func (c *FCTCollector) SizeRange(lo, hi int64) []FlowRecord {
-	return c.Filter(func(r FlowRecord) bool {
-		return r.Size > lo && (hi <= 0 || r.Size <= hi)
-	})
-}
-
 // FCTSummary condenses a set of records.
 type FCTSummary struct {
 	Count int
@@ -142,13 +135,6 @@ func (s *Series) Add(t simtime.Time, v float64) {
 	s.Values = append(s.Values, v)
 }
 
-// Reset drops all samples but keeps the backing arrays, so a long-lived
-// monitor can be drained window by window without reallocating.
-func (s *Series) Reset() {
-	s.Times = s.Times[:0]
-	s.Values = s.Values[:0]
-}
-
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Values) }
 
@@ -162,17 +148,6 @@ func (s *Series) Avg() float64 {
 		sum += v
 	}
 	return sum / float64(len(s.Values))
-}
-
-// Max returns the maximum sample (0 when empty).
-func (s *Series) Max() float64 {
-	m := 0.0
-	for _, v := range s.Values {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // Std returns the population standard deviation.

@@ -136,42 +136,12 @@ type Receiver struct {
 	onDone func(*Receiver)
 }
 
-// Done reports whether the transfer completed (receiver view; see Received
-// for the split-mode caveat).
-func (f *Flow) Done() bool { return f.rx != nil && f.rx.done }
-
 // Acked reports whether the sender saw the cumulative ACK for the whole
 // transfer and tore down.
 func (f *Flow) Acked() bool { return f.acked }
 
-// FCT returns the completion time, valid once Done.
-func (f *Flow) FCT() simtime.Duration { return f.End.Sub(f.Start) }
-
-// Cwnd returns the congestion window in bytes.
-func (f *Flow) Cwnd() float64 { return f.cwnd }
-
-// Alpha returns the DCTCP congestion estimate.
-func (f *Flow) Alpha() float64 { return f.alpha }
-
-// Received returns contiguous bytes delivered to the receiver; valid when
-// the flow was started with Start (both halves on one Network). Split
-// sharded senders report 0 — delivery progress belongs to the Receiver in
-// the destination shard.
-func (f *Flow) Received() int64 {
-	if f.rx == nil {
-		return 0
-	}
-	return f.rx.rcvNext
-}
-
-// Received returns contiguous bytes delivered.
-func (r *Receiver) Received() int64 { return r.rcvNext }
-
 // Done reports whether all bytes arrived.
 func (r *Receiver) Done() bool { return r.done }
-
-// FCT returns the completion time, valid once Done.
-func (r *Receiver) FCT() simtime.Duration { return r.End.Sub(r.Start) }
 
 // Start opens a TCP flow of size bytes at the current virtual time, with
 // both halves on the same Network.
@@ -484,9 +454,6 @@ func (f *Flow) updateRTT(sample simtime.Duration) {
 	f.rttvar = (3*f.rttvar + diff) / 4
 	f.srtt = (7*f.srtt + sample) / 8
 }
-
-// SRTT returns the smoothed RTT estimate.
-func (f *Flow) SRTT() simtime.Duration { return f.srtt }
 
 func (f *Flow) rto() simtime.Duration {
 	r := f.srtt + 4*f.rttvar

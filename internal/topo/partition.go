@@ -79,9 +79,6 @@ func (p Partition) LeafID(l int) int { return p.NSpine + l*(p.HostsPerLeaf+1) }
 // HostID returns the node id of host i under leaf l.
 func (p Partition) HostID(l, i int) int { return p.LeafID(l) + 1 + i }
 
-// NumNodes returns the total node count of the fabric.
-func (p Partition) NumNodes() int { return p.NSpine + p.NLeaf*(p.HostsPerLeaf+1) }
-
 // ShardOfNode maps a node id to its owning shard.
 func (p Partition) ShardOfNode(id int) int {
 	if id < p.NSpine {
@@ -129,6 +126,6 @@ func (c Config) AttachHostAt(net *netsim.Network, leaf *netsim.Switch, name stri
 	}
 	lp := leaf.AddPort(c.HostBW, c.HostDelay, c.QueueWeights)
 	netsim.Connect(hp, lp)
-	leaf.SetRoute(h.ID(), lp)
+	leaf.Routes[h.ID()] = []*netsim.Port{lp}
 	return h
 }

@@ -69,18 +69,6 @@ func (f *Fabric) Switches() []*netsim.Switch {
 	return out
 }
 
-// LeafOf returns the index of the leaf switch serving host h.
-func (f *Fabric) LeafOf(h *netsim.Host) int {
-	for li, hs := range f.HostsAt {
-		for _, hh := range hs {
-			if hh == h {
-				return li
-			}
-		}
-	}
-	return -1
-}
-
 func (c Config) injectLimit() int {
 	if c.NICInjectLimit > 0 {
 		return c.NICInjectLimit
@@ -153,12 +141,12 @@ func LeafSpine(net *netsim.Network, nLeaf, hostsPerLeaf, nSpine int, c Config) *
 				continue
 			}
 			for _, h := range hosts {
-				leaf.SetRoute(h.ID(), uplinks[l]...)
+				leaf.Routes[h.ID()] = uplinks[l]
 			}
 		}
 		for s, spine := range f.Spines {
 			for _, h := range f.HostsAt[l] {
-				spine.SetRoute(h.ID(), downlinks[s][l])
+				spine.Routes[h.ID()] = []*netsim.Port{downlinks[s][l]}
 			}
 		}
 	}

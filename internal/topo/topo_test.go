@@ -3,6 +3,7 @@ package topo
 import (
 	"testing"
 
+	"github.com/accnet/acc/internal/dcqcn"
 	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/simtime"
 )
@@ -19,7 +20,7 @@ func TestStarWiring(t *testing.T) {
 	}
 	// Every host must be routable.
 	for _, h := range f.Hosts {
-		if ports := sw.Routes()[h.ID()]; len(ports) != 1 {
+		if ports := sw.Routes[h.ID()]; len(ports) != 1 {
 			t.Fatalf("host %d has %d route ports", h.ID(), len(ports))
 		}
 	}
@@ -56,7 +57,7 @@ func TestLeafSpineWiring(t *testing.T) {
 	for li, l := range f.Leaves {
 		for lj, hosts := range f.HostsAt {
 			for _, h := range hosts {
-				ports := l.Routes()[h.ID()]
+				ports := l.Routes[h.ID()]
 				if li == lj && len(ports) != 1 {
 					t.Fatalf("leaf %d local route to %d has %d ports", li, h.ID(), len(ports))
 				}
@@ -69,7 +70,7 @@ func TestLeafSpineWiring(t *testing.T) {
 	// Spine routes: every host reachable via exactly one downlink.
 	for _, s := range f.Spines {
 		for _, h := range f.Hosts {
-			if ports := s.Routes()[h.ID()]; len(ports) != 1 {
+			if ports := s.Routes[h.ID()]; len(ports) != 1 {
 				t.Fatalf("spine route to %d has %d ports", h.ID(), len(ports))
 			}
 		}
@@ -86,7 +87,7 @@ func TestLeafOf(t *testing.T) {
 			}
 		}
 	}
-	other := netsim.NewHost(net, "outsider")
+	other := netsim.NewHostAt(net, "outsider", len(net.Nodes()))
 	if f.LeafOf(other) != -1 {
 		t.Fatal("LeafOf must return -1 for unknown host")
 	}
@@ -156,5 +157,63 @@ func TestFabricBandwidths(t *testing.T) {
 				t.Fatal("fabric bandwidth wrong")
 			}
 		}
+	}
+}
+
+func TestLinkFailureReroutesECMP(t *testing.T) {
+	net := netsim.New(3)
+	f := LeafSpine(net, 2, 2, 2, DefaultConfig())
+	src := f.HostsAt[0][0]
+	dst := f.HostsAt[1][0]
+
+	// Kill leaf0's uplink to spine0 (ports beyond the 2 host ports are
+	// uplinks in construction order).
+	leaf0 := f.Leaves[0]
+	up0 := leaf0.Ports[2]
+	up0.SetDown(true)
+
+	// Many flows: all must complete via the surviving spine.
+	done := 0
+	for i := 0; i < 8; i++ {
+		dcqcn.Start(net, src, dst, 256*simtime.KB, dcqcn.DefaultParams(25*simtime.Gbps), func(*dcqcn.Flow) { done++ })
+	}
+	net.RunUntil(simtime.Time(50 * simtime.Millisecond))
+	if done != 8 {
+		t.Fatalf("%d/8 flows completed with one spine down", done)
+	}
+	if up0.TxBytesTotal != 0 {
+		t.Fatal("down link transmitted data")
+	}
+
+	// Recovery: bring it back and verify it carries traffic again.
+	up0.SetDown(false)
+	done = 0
+	for i := 0; i < 32; i++ {
+		dcqcn.Start(net, src, dst, 64*simtime.KB, dcqcn.DefaultParams(25*simtime.Gbps), func(*dcqcn.Flow) { done++ })
+	}
+	net.RunUntil(simtime.Time(100 * simtime.Millisecond))
+	if done != 32 {
+		t.Fatalf("%d/32 flows completed after recovery", done)
+	}
+	if up0.TxBytesTotal == 0 {
+		t.Fatal("recovered link carried no traffic (ECMP not using it)")
+	}
+}
+
+func TestAllLinksDownBlackholes(t *testing.T) {
+	net := netsim.New(4)
+	f := LeafSpine(net, 2, 1, 1, DefaultConfig())
+	leaf0 := f.Leaves[0]
+	leaf0.Ports[1].SetDown(true) // the only uplink
+	src := f.HostsAt[0][0]
+	dst := f.HostsAt[1][0]
+	done := false
+	dcqcn.Start(net, src, dst, 10*simtime.KB, dcqcn.DefaultParams(25*simtime.Gbps), func(*dcqcn.Flow) { done = true })
+	net.RunUntil(simtime.Time(5 * simtime.Millisecond))
+	if done {
+		t.Fatal("flow completed across a fully failed path")
+	}
+	if leaf0.DropsTotal == 0 {
+		t.Fatal("blackholed packets not counted as drops")
 	}
 }

@@ -59,9 +59,6 @@ func NewArrival(process string, rate, shape float64) (Arrival, error) {
 	return Arrival{process: process, mean: 1 / rate, shape: shape}, nil
 }
 
-// Rate returns the configured mean arrival rate in flows per second.
-func (a Arrival) Rate() float64 { return 1 / a.mean }
-
 // Gap draws the next interarrival gap (always >= 1ns so time advances).
 func (a Arrival) Gap(rng *rand.Rand) simtime.Duration {
 	var x float64 // unit-mean draw

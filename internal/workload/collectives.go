@@ -41,7 +41,8 @@ const collectiveStepCap = 64
 func (j *jobStats) Stop() { j.stopped = true }
 
 // RoundsPerSec returns the collective rate so far; zero before the first
-// round completes (and at zero elapsed virtual time).
+// round completes (and at zero elapsed virtual time, so a job queried at
+// its start instant never divides by zero or reports a rate for no work).
 func (j *jobStats) RoundsPerSec() float64 {
 	if j.Rounds == 0 {
 		return 0

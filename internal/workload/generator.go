@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 
 	"github.com/accnet/acc/internal/netsim"
@@ -150,13 +149,4 @@ func ExpJitter(rng *rand.Rand, mean simtime.Duration) simtime.Duration {
 		d = 20 * mean
 	}
 	return d
-}
-
-// LoadForPairs computes the per-pair Poisson rate needed to hit load on a
-// bottleneck of rate bw given mean flow size (utility for tests).
-func LoadForPairs(load float64, bw simtime.Rate, meanFlow float64) float64 {
-	if meanFlow <= 0 {
-		return math.NaN()
-	}
-	return load * float64(bw) / (8 * meanFlow)
 }

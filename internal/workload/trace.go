@@ -28,8 +28,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
-	"github.com/accnet/acc/internal/netsim"
 	"github.com/accnet/acc/internal/simtime"
 )
 
@@ -95,9 +95,18 @@ type Trace struct {
 	Flows   []TraceFlow  `json:"-"`
 }
 
-// Validate checks internal consistency: geometry positive, endpoints and
-// class indices in range, sizes positive, and starts inside the horizon.
+// Validate checks internal consistency: names valid UTF-8 (the JSONL form
+// cannot carry anything else), geometry positive, endpoints and class
+// indices in range, sizes positive, and starts inside the horizon.
 func (t *Trace) Validate() error {
+	if !utf8.ValidString(t.Name) {
+		return fmt.Errorf("workload: trace name %q is not valid UTF-8", t.Name)
+	}
+	for i, c := range t.Classes {
+		if !utf8.ValidString(c.Name) || !utf8.ValidString(c.SLO) {
+			return fmt.Errorf("workload: trace %q class %d name %q / SLO %q is not valid UTF-8", t.Name, i, c.Name, c.SLO)
+		}
+	}
 	if t.NLeaf <= 0 || t.HostsPerLeaf <= 0 || t.NSpine <= 0 {
 		return fmt.Errorf("workload: trace %q geometry %dx%dx%d must be positive", t.Name, t.NLeaf, t.HostsPerLeaf, t.NSpine)
 	}
@@ -337,7 +346,10 @@ func decodeBinary(br *bufio.Reader) (*Trace, error) {
 		err = fmt.Errorf("workload: binary trace flow count %d implausible", nFlows)
 	}
 	if err == nil {
-		tr.Flows = make([]TraceFlow, 0, nFlows)
+		// The count is untrusted: preallocate a bounded prefix and let
+		// append grow with the flows actually present, so a short file
+		// claiming billions of flows fails at EOF instead of allocating.
+		tr.Flows = make([]TraceFlow, 0, min(nFlows, 1<<16))
 	}
 	prev := simtime.Time(0)
 	for i := uint64(0); err == nil && i < nFlows; i++ {
@@ -352,6 +364,9 @@ func decodeBinary(br *bufio.Reader) (*Trace, error) {
 		f.Class = int(getUvarint())
 		f.Transport = FlowTransport(getUvarint())
 		tr.Flows = append(tr.Flows, f)
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF // the magic promised a body
 	}
 	if err != nil {
 		return nil, fmt.Errorf("workload: binary trace: %w", err)
@@ -413,8 +428,8 @@ func ReadTraceFile(path string) (*Trace, error) {
 //     per-flow slot, so concurrent shard workers may report without locking
 //     and the recorded order is independent of goroutine interleaving.
 //
-//   - RecordFlow / Starter for closed-loop jobs (collectives, generators)
-//     on a sequential Network: appends flows in start order under a mutex.
+//   - RecordFlow for closed-loop jobs (collectives, generators) on a
+//     sequential Network: appends flows in start order under a mutex.
 //
 // Trace() then assembles the recorded trace, sorted stably by start time.
 type Recorder struct {
@@ -493,15 +508,6 @@ func (r *Recorder) RecordFlow(at simtime.Time, srcID, dstID int, size int64, cla
 		Bytes: size, Class: ci, Transport: tr,
 	})
 	r.mu.Unlock()
-}
-
-// Starter wraps a transport starter so every launched flow is recorded at
-// the current virtual time before it enters the engine.
-func (r *Recorder) Starter(class, slo string, tr FlowTransport, start StartFlowFunc) StartFlowFunc {
-	return func(src, dst *netsim.Host, size int64, onDone func()) {
-		r.RecordFlow(src.Net().Now(), src.ID(), dst.ID(), size, class, slo, tr)
-		start(src, dst, size, onDone)
-	}
 }
 
 // Trace assembles the recorded trace: observed flows stably sorted by start

@@ -2,8 +2,12 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"github.com/accnet/acc/internal/simtime"
@@ -22,16 +26,17 @@ func testTrace() *Trace {
 	}
 }
 
-// Both encodings must round-trip to an Equal trace, and re-encoding the
-// decoded trace must reproduce the original bytes — the canonical-encoding
-// property CI's byte-diff of recorded traces relies on.
-func TestTraceRoundTripCanonical(t *testing.T) {
-	tr := testTrace()
-	encoders := map[string]func(*Trace, *bytes.Buffer) error{
-		"jsonl":  func(tr *Trace, b *bytes.Buffer) error { return tr.EncodeJSONL(b) },
-		"binary": func(tr *Trace, b *bytes.Buffer) error { return tr.EncodeBinary(b) },
-	}
-	for name, enc := range encoders {
+// traceEncoders are the two trace formats, by name.
+var traceEncoders = map[string]func(*Trace, *bytes.Buffer) error{
+	"jsonl":  func(tr *Trace, b *bytes.Buffer) error { return tr.EncodeJSONL(b) },
+	"binary": func(tr *Trace, b *bytes.Buffer) error { return tr.EncodeBinary(b) },
+}
+
+// checkRoundTrip asserts that each encoding of tr decodes to an Equal trace
+// and that re-encoding the decoded trace reproduces the bytes exactly.
+func checkRoundTrip(t *testing.T, tr *Trace) {
+	t.Helper()
+	for name, enc := range traceEncoders {
 		var b1 bytes.Buffer
 		if err := enc(tr, &b1); err != nil {
 			t.Fatalf("%s encode: %v", name, err)
@@ -51,6 +56,86 @@ func TestTraceRoundTripCanonical(t *testing.T) {
 			t.Fatalf("%s encoding is not canonical: re-encode differs", name)
 		}
 	}
+}
+
+// Both encodings must round-trip to an Equal trace, and re-encoding the
+// decoded trace must reproduce the original bytes — the canonical-encoding
+// property CI's byte-diff of recorded traces relies on.
+func TestTraceRoundTripCanonical(t *testing.T) {
+	checkRoundTrip(t, testTrace())
+}
+
+// hugeCountHeader is a ~20-byte binary trace whose flow count claims 2^31
+// flows and then ends: a decoder that trusts the count asks for ~137 GB.
+func hugeCountHeader() []byte {
+	b := append([]byte{}, traceMagic...)
+	b = binary.AppendUvarint(b, 0)        // name ""
+	b = binary.AppendVarint(b, 1)         // seed
+	b = binary.AppendUvarint(b, 2)        // leaves
+	b = binary.AppendUvarint(b, 2)        // hosts per leaf
+	b = binary.AppendUvarint(b, 1)        // spines
+	b = binary.AppendUvarint(b, 1000)     // horizon
+	b = binary.AppendUvarint(b, 0)        // classes
+	return binary.AppendUvarint(b, 1<<31) // flows
+}
+
+// A flow count is bounded by the bytes that follow it: the huge-count
+// header fails as a truncated stream without a large allocation.
+func TestDecodeBinaryHugeFlowCount(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeTrace(bytes.NewReader(hugeCountHeader()))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("DecodeTrace = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("decoding a 2^31-flow header allocated %d bytes", grew)
+	}
+}
+
+// A binary trace cut anywhere after the magic is truncated, not empty.
+func TestDecodeBinaryTruncated(t *testing.T) {
+	var b bytes.Buffer
+	if err := testTrace().EncodeBinary(&b); err != nil {
+		t.Fatal(err)
+	}
+	full := b.Bytes()
+	for n := len(traceMagic); n < len(full); n++ {
+		if _, err := DecodeTrace(bytes.NewReader(full[:n])); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut at %d/%d bytes: err = %v, want io.ErrUnexpectedEOF", n, len(full), err)
+		}
+	}
+}
+
+// FuzzDecodeTrace feeds arbitrary bytes to the trace decoder in both
+// formats. Every input must either be rejected with an error or decode to
+// a trace that round-trips through both encodings byte-identically; it
+// must never panic or allocate by an untrusted count. Seeds: the trace
+// the mix-spec experiment generates and records (DefaultMixSpec, seed 1),
+// the hand-written test trace, and the huge-count header.
+func FuzzDecodeTrace(f *testing.F) {
+	mix, err := DefaultMixSpec().Generate(1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, tr := range []*Trace{mix, testTrace()} {
+		for _, enc := range traceEncoders {
+			var b bytes.Buffer
+			if err := enc(tr, &b); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(b.Bytes())
+		}
+	}
+	f.Add(hugeCountHeader())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := DecodeTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		checkRoundTrip(t, tr)
+	})
 }
 
 func TestTraceWriteFileSelectsFormat(t *testing.T) {
@@ -93,6 +178,8 @@ func TestTraceValidateErrors(t *testing.T) {
 		{"zero bytes", func(tr *Trace) { tr.Flows[2].Bytes = 0 }},
 		{"unknown transport", func(tr *Trace) { tr.Flows[0].Transport = 9 }},
 		{"start past horizon", func(tr *Trace) { tr.Flows[2].Start = tr.Horizon + 1 }},
+		{"name not UTF-8", func(tr *Trace) { tr.Name = "\xff" }},
+		{"class not UTF-8", func(tr *Trace) { tr.Classes[1].SLO = "b\xc3" }},
 	}
 	for _, c := range cases {
 		tr := testTrace()
